@@ -8,6 +8,7 @@ accelerated with an extrapolated step and objective-guarded backtracking.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,12 +17,18 @@ from .sequences import (
     WeightProfile,
     objective_from_correlations,
 )
-from .spectral import correlations_via_fft, forward_spectrum, gram_product, weighted_spectra
+from .spectral import (
+    correlations_from_spectra,
+    correlations_via_fft,
+    forward_spectrum,
+    gram_product,
+    weighted_spectra,
+)
 
 __all__ = [
     "SolverConfig",
     "SolverState",
-    "MajorizationConstants",
+    "Iterate",
     "lambda_j",
     "lambda_u",
     "descent_vector",
@@ -79,20 +86,34 @@ class SolverConfig:
         return float(np.sqrt(self.p_r * self.p_e / self.L))
 
 
-@dataclass
-class MajorizationConstants:
-    lambda_j: float
-    lambda_u: float
+class Iterate(NamedTuple):
+    """Everything one evaluation of a stacked iterate ``z`` produces.
+
+    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the padded
+    transforms (f_x, f_y) that :func:`gram_product` consumes.
+    """
+
+    r: np.ndarray
+    c: np.ndarray
+    objective: float
+    spectra: tuple
+    z: np.ndarray
 
 
 @dataclass
 class SolverState:
-    """Iterate plus bookkeeping; `z` stacks x on top of y."""
+    """Iterate plus bookkeeping; `z` stacks x on top of y.
+
+    ``record`` is the evaluation of ``z`` left by the step that produced it.
+    It is trusted only while ``record.z is z``; a state built from a bare
+    ``z`` is evaluated on its first step.
+    """
 
     z: np.ndarray
     iteration: int = 0
     objective_history: list = field(default_factory=list)
     last_step: dict = field(default_factory=dict)
+    record: Iterate | None = field(default=None, repr=False)
 
     @property
     def pair(self) -> SequencePair:
@@ -127,20 +148,13 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
     return 4.0 * L * max(auto_max, cross_max)
 
 
-def _evaluate(z: np.ndarray, wp: WeightProfile):
+def _evaluate(z: np.ndarray, wp: WeightProfile) -> Iterate:
     """Correlations, objective and padded spectra of a stacked iterate."""
     L = z.size // 2
-    pair = SequencePair(z[:L], z[L:])
-    f_x = forward_spectrum(pair.x)
-    f_y = forward_spectrum(pair.y)
-    r = np.conj(np.fft.ifft(np.abs(f_x) ** 2 + np.abs(f_y) ** 2))
-    c = np.conj(np.fft.ifft(np.conj(f_x) * f_y))
-    from .spectral import fft_to_lag_order
-
-    r = fft_to_lag_order(r)
-    c = fft_to_lag_order(c)
-    obj = objective_from_correlations(r, c, wp)
-    return r, c, obj, (f_x, f_y)
+    f_x = forward_spectrum(z[:L])
+    f_y = forward_spectrum(z[L:])
+    r, c = correlations_from_spectra(f_x, f_y)
+    return Iterate(r, c, objective_from_correlations(r, c, wp), (f_x, f_y), z)
 
 
 def descent_vector(z: np.ndarray, wp: WeightProfile, lam_j: float,
@@ -153,7 +167,7 @@ def descent_vector(z: np.ndarray, wp: WeightProfile, lam_j: float,
     majorization-minimization update.
     """
     if r is None or c is None or spectra is None:
-        r, c, _, spectra = _evaluate(z, wp)
+        r, c, _, spectra, _ = _evaluate(z, wp)
     lam_u = lambda_u(r, c, wp)
     ws = weighted_spectra(r, c, wp)
     qz = gram_product(z, ws, spectra)
@@ -231,29 +245,36 @@ def _project(v: np.ndarray, config: SolverConfig) -> np.ndarray:
 
 
 def _mm_update(z: np.ndarray, config: SolverConfig, lam_j: float,
-               cache=None) -> np.ndarray:
-    """One plain majorization step Proj(P(z))."""
-    if cache is None:
-        r, c, _, spectra = _evaluate(z, config.weights)
-    else:
-        r, c, spectra = cache
-    p = descent_vector(z, config.weights, lam_j, r=r, c=c, spectra=spectra)
+               record: Iterate | None = None) -> np.ndarray:
+    """One plain majorization step Proj(P(z)); ``record`` is z's evaluation."""
+    if record is None:
+        record = _evaluate(z, config.weights)
+    p = descent_vector(z, config.weights, lam_j, r=record.r, c=record.c,
+                       spectra=record.spectra)
     return _project(p, config)
 
 
 def sdamm_step(state: SolverState, config: SolverConfig,
                lam_j: float | None = None) -> SolverState:
-    """Accelerated fixed-point update with objective-guarded backtracking."""
+    """Accelerated fixed-point update with objective-guarded backtracking.
+
+    Appends the new objective to ``state.objective_history`` in place and
+    hands the same list to the returned state.
+    """
     wp = config.weights
     if lam_j is None:
         lam_j = lambda_j(wp, config.L)
     z_t = state.z
-    r_t, c_t, obj_t, spectra_t = _evaluate(z_t, wp)
+    rec_t = state.record
+    if rec_t is None or rec_t.z is not z_t:
+        rec_t = _evaluate(z_t, wp)
+    obj_t = rec_t.objective
     if not np.isfinite(obj_t):
         raise FloatingPointError("non-finite objective at current iterate")
 
-    z1 = _mm_update(z_t, config, lam_j, cache=(r_t, c_t, spectra_t))
-    z2 = _mm_update(z1, config, lam_j)
+    z1 = _mm_update(z_t, config, lam_j, record=rec_t)
+    rec1 = _evaluate(z1, wp)
+    z2 = _mm_update(z1, config, lam_j, record=rec1)
     v1 = z1 - z_t
     v2 = z2 - z1 - v1
     norm_v2 = float(np.linalg.norm(v2))
@@ -261,30 +282,31 @@ def sdamm_step(state: SolverState, config: SolverConfig,
 
     if norm_v2 == 0.0:
         # Fixed point of the plain map; nothing left to extrapolate.
-        z_next = z1
+        rec_next = rec1
         alpha_sl = -1.0
     else:
         alpha_sl = min(-float(np.linalg.norm(v1)) / norm_v2, -1.0)
-        z_next = _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2,
-                            config, lam_j)
-        while _evaluate(z_next, wp)[2] > obj_t:
+        rec_next = _evaluate(
+            _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2, config, lam_j), wp)
+        while rec_next.objective > obj_t:
             backtracks += 1
             if alpha_sl >= -1.0 or backtracks > 100:
                 # alpha_sl = -1 reduces the step to a plain update from z2,
                 # which the majorization guarantee makes non-increasing.
-                z_next = min((z1, z2), key=lambda zz: _evaluate(zz, wp)[2])
+                rec_next = min((rec1, _evaluate(z2, wp)), key=lambda rec: rec.objective)
                 break
             alpha_sl = (alpha_sl - 1.0) / 2.0
-            z_next = _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2,
-                                config, lam_j)
+            rec_next = _evaluate(
+                _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2, config, lam_j), wp)
 
-    obj_next = _evaluate(z_next, wp)[2]
-    history = state.objective_history + [obj_next]
+    history = state.objective_history
+    history.append(rec_next.objective)
     return SolverState(
-        z=z_next,
+        z=rec_next.z,
         iteration=state.iteration + 1,
         objective_history=history,
         last_step={"alpha_sl": alpha_sl, "backtracks": backtracks},
+        record=rec_next,
     )
 
 
@@ -298,8 +320,8 @@ def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:
     """Run the accelerated fixed-point loop from a seeded random start."""
     wp = config.weights
     lam_j = lambda_j(wp, config.L)
-    state = SolverState(z=_initial_z(config))
-    state.objective_history.append(_evaluate(state.z, wp)[2])
+    record = _evaluate(_initial_z(config), wp)
+    state = SolverState(z=record.z, objective_history=[record.objective], record=record)
 
     for _ in range(config.max_iter):
         state = sdamm_step(state, config, lam_j=lam_j)

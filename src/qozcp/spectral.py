@@ -19,6 +19,7 @@ from .sequences import SequencePair, WeightProfile, as_sequence
 __all__ = [
     "forward_spectrum",
     "correlations_via_fft",
+    "correlations_from_spectra",
     "WeightedSpectra",
     "weighted_spectra",
     "gram_product",
@@ -69,8 +70,16 @@ def correlations_via_fft(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(r, c)`` in lag order, where r_k = C_x(k) + C_y(k) and
     c_k = C_xy(k), matching the direct-sum oracle in :mod:`qozcp.sequences`.
     """
-    f_x = forward_spectrum(pair.x)
-    f_y = forward_spectrum(pair.y)
+    return correlations_from_spectra(forward_spectrum(pair.x), forward_spectrum(pair.y))
+
+
+def correlations_from_spectra(f_x: np.ndarray,
+                              f_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-order ``(r, c)`` from the padded transforms of x and y.
+
+    Callers that keep the spectra for :func:`gram_product` compute them once
+    with :func:`forward_spectrum` and pass them here.
+    """
     # ifft(|F x|^2)[m] = sum_l x[l+m] x*[l] = conj(C_x(m)); conjugate restores
     # the stated layout.  Same argument for the cross term.
     r_fft = np.conj(np.fft.ifft(np.abs(f_x) ** 2 + np.abs(f_y) ** 2))

@@ -200,3 +200,51 @@ def test_sdamm_step_accepts_manual_state():
     state = sdamm_step(state, config)
     assert state.iteration == 1
     assert state.objective_history[-1] <= before * (1.0 + 1e-9)
+
+
+def _start(config):
+    import qozcp.solver as solver
+
+    record = solver._evaluate(solver._initial_z(config), config.weights)
+    return SolverState(z=record.z, objective_history=[record.objective], record=record)
+
+
+@pytest.mark.parametrize("mode", ["papr", "unimodular"])
+def test_sdamm_step_cached_record_matches_bare_state(mode):
+    config = SolverConfig(L=16, Z=8, mode=mode, seed=5)
+    lam = lambda_j(config.weights, config.L)
+    state = _start(config)
+    for _ in range(40):
+        bare = SolverState(z=state.z, iteration=state.iteration,
+                           objective_history=list(state.objective_history))
+        from_bare = sdamm_step(bare, config, lam_j=lam)
+        state = sdamm_step(state, config, lam_j=lam)
+        assert np.array_equal(state.z, from_bare.z)
+        assert state.objective_history == from_bare.objective_history
+        assert state.last_step == from_bare.last_step
+
+
+@pytest.mark.parametrize("mode", ["papr", "unimodular"])
+def test_sdamm_step_evaluation_budget(monkeypatch, mode):
+    import qozcp.solver as solver
+
+    config = SolverConfig(L=16, Z=8, mode=mode, seed=5)
+    lam = lambda_j(config.weights, config.L)
+    state = _start(config)
+    calls = []
+    original = solver._evaluate
+
+    def counting(z, wp):
+        calls.append(1)
+        return original(z, wp)
+
+    monkeypatch.setattr(solver, "_evaluate", counting)
+    total_backtracks = 0
+    for _ in range(60):
+        calls.clear()
+        state = sdamm_step(state, config, lam_j=lam)
+        backtracks = state.last_step["backtracks"]
+        total_backtracks += backtracks
+        assert len(calls) <= 3 + 2 * backtracks
+    # the budget was also checked on steps that backtracked
+    assert total_backtracks > 0
