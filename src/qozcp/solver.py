@@ -3,8 +3,16 @@
 Each iteration majorizes the quartic sidelobe objective twice (first with the
 largest eigenvalue of the lifted quadratic form, then with an entry bound on
 the banded matrix Q), leaving two independent per-sequence linear problems
-whose maximizers are closed-form projections.  The fixed-point map is
-accelerated with an extrapolated step and objective-guarded backtracking.
+whose maximizers are closed-form projections: a phase alignment for unit
+modulus, and water-filling (one sort plus suffix sums) for the energy and
+per-entry cap of PAPR mode.  The fixed-point map is accelerated with an
+extrapolated step and objective-guarded backtracking.
+
+Evaluation budget: an evaluation (:func:`_evaluate`) is the two padded
+forward transforms, the correlations and the objective of one iterate, and
+its :class:`Iterate` record feeds the next descent vector.  A step evaluates
+z1, the extrapolated point and its projection, so 3 evaluations, plus 2 per
+backtrack; the current iterate's record comes from the previous step.
 """
 
 from dataclasses import dataclass, field
@@ -37,9 +45,6 @@ __all__ = [
     "sdamm_step",
     "solve",
 ]
-
-_BISECT_TOL = 1e-12
-_BISECT_MAX = 200
 
 
 @dataclass
@@ -184,12 +189,17 @@ def proj_unimodular(v: np.ndarray) -> np.ndarray:
 
 
 def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
-    """Maximizer of Re{x^H v} under ||x||^2 = p_e and |x_l| <= p_c.
+    """Maximizer of Re{x^H v} under ||x||^2 = p_e and |x_l| <= p_c, in closed form.
 
-    Phases copy v; magnitudes are min(delta*|v_l|, p_c) with delta found by
-    bisection on the energy equation.  If the nonzero entries cannot carry
-    the whole budget, they saturate and the residual energy spreads uniformly
-    over the zero entries with phase 0.
+    Phases copy v and magnitudes are min(delta*|v_l|, p_c): water-filling,
+    the PAPR-constrained nearest-vector step of Tropp, Dhillon, Heath and
+    Strohmer (IEEE T-IT 2005).  With a_0 >= a_1 >= ... the sorted nonzero
+    magnitudes and tail(s) = sum_{j>=s} a_j^2, saturating the s largest
+    entries leaves delta_s^2 = (p_e - s*p_c^2) / tail(s); the answer is the
+    first s with delta_s * a_s <= p_c, which exists whenever the nonzero
+    entries can carry the budget.  If they cannot, they all saturate and the
+    residual energy spreads uniformly over the zero entries with phase 0.
+    Cost is one sort, O(L log L).
     """
     v = np.asarray(v, dtype=np.complex128)
     L = v.size
@@ -198,38 +208,20 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
     mags = np.abs(v)
     nonzero = mags > 0.0
     m = int(np.count_nonzero(nonzero))
-    phases = np.where(nonzero, np.exp(1j * np.angle(v)), 1.0)
-
-    out_mag = np.empty(L)
+    # Entry l saturates once its gain reaches p_c / |v_l|.
+    cap = np.divide(p_c, mags, out=np.full(L, np.inf), where=nonzero)
     if m * p_c ** 2 <= p_e:
         # Every nonzero entry saturates; remaining energy fills the zeros.
-        out_mag[nonzero] = p_c
-        if m < L:
-            out_mag[~nonzero] = np.sqrt(max(p_e - m * p_c ** 2, 0.0) / (L - m))
-    else:
-        lo, hi = 0.0, p_c / float(mags[nonzero].min())
-        delta = hi
-        for _ in range(_BISECT_MAX):
-            delta = 0.5 * (lo + hi)
-            energy = float(np.sum(np.minimum(delta * mags, p_c) ** 2))
-            if abs(energy - p_e) <= _BISECT_TOL * p_e:
-                break
-            if energy < p_e:
-                lo = delta
-            else:
-                hi = delta
-        else:
-            raise RuntimeError("PAPR projection bisection did not converge")
-        saturated = delta * mags >= p_c
-        free = nonzero & ~saturated
-        # Snap the free entries so the energy constraint holds exactly.
-        residual = p_e - float(np.count_nonzero(saturated)) * p_c ** 2
-        free_norm2 = float(np.sum(mags[free] ** 2))
-        if free_norm2 > 0.0 and residual > 0.0:
-            delta = np.sqrt(residual / free_norm2)
-        out_mag = np.minimum(delta * mags, p_c)
-        out_mag[~nonzero] = 0.0
-    return out_mag * phases
+        fill = np.sqrt(max(p_e - m * p_c ** 2, 0.0) / (L - m)) if m < L else 0.0
+        return np.multiply(v, cap, out=np.full(L, fill, dtype=np.complex128), where=nonzero)
+    # Magnitudes scaled by the peak so that their squares stay finite.
+    peak = float(mags.max())
+    ascending = (np.sort(mags[nonzero]) / peak) ** 2
+    a2 = ascending[::-1]
+    tail = np.cumsum(ascending)[::-1]             # tail[s] = sum(a2[s:])
+    delta2 = (p_e - np.arange(m) * p_c ** 2) / tail
+    s = int(np.argmax(delta2 * a2 <= p_c ** 2))
+    return v * np.minimum(np.sqrt(delta2[s]) / peak, cap)
 
 
 def _project(v: np.ndarray, config: SolverConfig) -> np.ndarray:

@@ -71,3 +71,46 @@ def random_pair(rng: np.random.Generator, L: int):
     x = rng.normal(size=L) + 1j * rng.normal(size=L)
     y = rng.normal(size=L) + 1j * rng.normal(size=L)
     return x, y
+
+
+def proj_papr_bisect(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
+    """PAPR projection by bisection on the energy equation.
+
+    Same maximizer as the closed form in :func:`qozcp.solver.proj_papr`,
+    found the slow way: bisect for the scale delta, then rescale the
+    unsaturated entries so the energy holds exactly.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    L = v.size
+    mags = np.abs(v)
+    nonzero = mags > 0.0
+    m = int(np.count_nonzero(nonzero))
+    phases = np.where(nonzero, np.exp(1j * np.angle(v)), 1.0)
+
+    out_mag = np.empty(L)
+    if m * p_c ** 2 <= p_e:
+        out_mag[nonzero] = p_c
+        if m < L:
+            out_mag[~nonzero] = np.sqrt(max(p_e - m * p_c ** 2, 0.0) / (L - m))
+        return out_mag * phases
+    lo, hi = 0.0, p_c / float(mags[nonzero].min())
+    for _ in range(200):
+        delta = 0.5 * (lo + hi)
+        energy = float(np.sum(np.minimum(delta * mags, p_c) ** 2))
+        if abs(energy - p_e) <= 1e-12 * p_e:
+            break
+        if energy < p_e:
+            lo = delta
+        else:
+            hi = delta
+    else:
+        raise RuntimeError("PAPR projection bisection did not converge")
+    saturated = delta * mags >= p_c
+    free = nonzero & ~saturated
+    residual = p_e - float(np.count_nonzero(saturated)) * p_c ** 2
+    free_norm2 = float(np.sum(mags[free] ** 2))
+    if free_norm2 > 0.0 and residual > 0.0:
+        delta = np.sqrt(residual / free_norm2)
+    out_mag = np.minimum(delta * mags, p_c)
+    out_mag[~nonzero] = 0.0
+    return out_mag * phases

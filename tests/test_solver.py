@@ -14,7 +14,13 @@ from qozcp.solver import (
     solve,
 )
 
-from oracles import dense_descent, dense_lifted_form, dense_q, random_pair
+from oracles import (
+    dense_descent,
+    dense_lifted_form,
+    dense_q,
+    proj_papr_bisect,
+    random_pair,
+)
 
 
 @pytest.mark.parametrize("L", [3, 4])
@@ -118,6 +124,56 @@ def test_proj_papr_zero_entries_saturated_branch():
     rest = np.sqrt((4.0 - 2 * 1.44) / 2)
     assert np.abs(out[2]) == pytest.approx(rest)
     assert np.sum(np.abs(out) ** 2) == pytest.approx(4.0)
+
+
+def _heavy_tailed(rng, L):
+    mags = rng.pareto(rng.uniform(0.5, 3.0), size=L)
+    return mags * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=L))
+
+
+def test_proj_papr_matches_bisection_oracle():
+    rng = np.random.default_rng(6)
+    cases = {"zeros": 0, "ties": 0, "all_saturated": 0, "no_saturation": 0}
+    for trial in range(400):
+        L = int(rng.integers(2, 200))
+        v = _heavy_tailed(rng, L)
+        if trial % 4 == 1:
+            v[rng.random(L) < 0.3] = 0.0
+            cases["zeros"] += 1
+        elif trial % 4 == 2:
+            # exact magnitude ties: v_0 and 1j * v_0 have equal moduli
+            v[rng.integers(0, L, size=L // 2 + 1)] = v[0]
+            v[rng.integers(0, L, size=L // 4 + 1)] = 1j * v[0]
+            cases["ties"] += 1
+        p_e = float(rng.uniform(0.5, L))
+        p_c = float(np.sqrt(rng.uniform(1.0, L) * p_e / L))
+        if trial % 8 == 3:
+            p_c = 1e3 * np.sqrt(p_e)
+        m = int(np.count_nonzero(v))
+        if m * p_c ** 2 <= p_e:
+            cases["all_saturated"] += 1
+        if np.max(np.abs(v)) * np.sqrt(p_e) <= p_c * np.linalg.norm(v):
+            cases["no_saturation"] += 1
+        out = proj_papr(v, p_e, p_c)
+        assert np.max(np.abs(out - proj_papr_bisect(v, p_e, p_c))) <= 1e-14 * p_c
+    assert all(cases.values()), cases
+
+
+def test_proj_papr_saturated_branch_matches_oracle():
+    v = np.array([2.0, 0.0, 1j, 0.0, -3.0])
+    p_e, p_c = 4.0, 1.0
+    out = proj_papr(v, p_e, p_c)
+    assert np.max(np.abs(out - proj_papr_bisect(v, p_e, p_c))) <= 1e-14 * p_c
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(p_e)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_proj_papr_scale_invariant(scale):
+    rng = np.random.default_rng(8)
+    v = _heavy_tailed(rng, 64)
+    p_c = np.sqrt(5.0)
+    ref = proj_papr(v, 64.0, p_c)
+    assert np.max(np.abs(proj_papr(scale * v, 64.0, p_c) - ref)) <= 1e-14 * p_c
 
 
 def test_proj_papr_infeasible_budget():
