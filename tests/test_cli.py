@@ -201,8 +201,20 @@ def test_usage_error_exit_code():
 
 
 def test_console_entry_point():
+    import re
+    import shutil
     import subprocess
+    import sys
+    from pathlib import Path
 
-    res = subprocess.run(["qozcp", "--help"], capture_output=True, text=True)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^qozcp\s*=\s*"qozcp\.cli:main"\s*$', scripts, re.M)
+
+    # The script is on PATH only after an install; a plain checkout runs the
+    # same main through the package's __main__.
+    script = shutil.which("qozcp")
+    cmd = [script] if script else [sys.executable, "-m", "qozcp"]
+    res = subprocess.run([*cmd, "--help"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "design" in res.stdout and "evaluate" in res.stdout
