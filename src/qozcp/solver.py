@@ -272,14 +272,16 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     norm_v2 = float(np.linalg.norm(v2))
     backtracks = 0
 
+    def accelerated(a: float) -> Iterate:
+        return _evaluate(_mm_update(z_t - 2.0 * a * v1 + a ** 2 * v2, config, lam_j), wp)
+
     if norm_v2 == 0.0:
         # Fixed point of the plain map; nothing left to extrapolate.
         rec_next = rec1
         alpha_sl = -1.0
     else:
         alpha_sl = min(-float(np.linalg.norm(v1)) / norm_v2, -1.0)
-        rec_next = _evaluate(
-            _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2, config, lam_j), wp)
+        rec_next = accelerated(alpha_sl)
         while rec_next.objective > obj_t:
             backtracks += 1
             if alpha_sl >= -1.0 or backtracks > 100:
@@ -288,8 +290,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
                 rec_next = min((rec1, _evaluate(z2, wp)), key=lambda rec: rec.objective)
                 break
             alpha_sl = (alpha_sl - 1.0) / 2.0
-            rec_next = _evaluate(
-                _mm_update(z_t - 2.0 * alpha_sl * v1 + alpha_sl ** 2 * v2, config, lam_j), wp)
+            rec_next = accelerated(alpha_sl)
 
     history = state.objective_history
     history.append(rec_next.objective)

@@ -159,14 +159,6 @@ def test_proj_papr_matches_bisection_oracle():
     assert all(cases.values()), cases
 
 
-def test_proj_papr_saturated_branch_matches_oracle():
-    v = np.array([2.0, 0.0, 1j, 0.0, -3.0])
-    p_e, p_c = 4.0, 1.0
-    out = proj_papr(v, p_e, p_c)
-    assert np.max(np.abs(out - proj_papr_bisect(v, p_e, p_c))) <= 1e-14 * p_c
-    assert np.sum(np.abs(out) ** 2) == pytest.approx(p_e)
-
-
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_proj_papr_scale_invariant(scale):
     rng = np.random.default_rng(8)
@@ -258,18 +250,16 @@ def test_sdamm_step_accepts_manual_state():
     assert state.objective_history[-1] <= before * (1.0 + 1e-9)
 
 
-def _start(config):
-    import qozcp.solver as solver
-
-    record = solver._evaluate(solver._initial_z(config), config.weights)
-    return SolverState(z=record.z, objective_history=[record.objective], record=record)
+def _start(mode):
+    """A config and the state ``solve`` starts from, record included."""
+    config = SolverConfig(L=16, Z=8, mode=mode, seed=5, max_iter=0)
+    return config, solve(config)[1]
 
 
 @pytest.mark.parametrize("mode", ["papr", "unimodular"])
 def test_sdamm_step_cached_record_matches_bare_state(mode):
-    config = SolverConfig(L=16, Z=8, mode=mode, seed=5)
+    config, state = _start(mode)
     lam = lambda_j(config.weights, config.L)
-    state = _start(config)
     for _ in range(40):
         bare = SolverState(z=state.z, iteration=state.iteration,
                            objective_history=list(state.objective_history))
@@ -284,9 +274,8 @@ def test_sdamm_step_cached_record_matches_bare_state(mode):
 def test_sdamm_step_evaluation_budget(monkeypatch, mode):
     import qozcp.solver as solver
 
-    config = SolverConfig(L=16, Z=8, mode=mode, seed=5)
+    config, state = _start(mode)
     lam = lambda_j(config.weights, config.L)
-    state = _start(config)
     calls = []
     original = solver._evaluate
 
