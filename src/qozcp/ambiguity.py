@@ -10,12 +10,12 @@ Per-PRI correlations are computed once with the FFT path and reused for every
 Doppler sample.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sequences import SequencePair, WeightProfile, lag_index
-from .spectral import cross_correlation_fft
+from .spectral import correlations_via_fft, cross_correlation_fft
 from .waveform import TransmitSchedule, materialize, ptm, ptm_a_schedule, prouhet_partition_sums
 
 __all__ = [
@@ -87,15 +87,6 @@ class MetricsReport:
     max_caf_omega2: float
     peak_value: float
 
-    def as_dict(self) -> dict:
-        return {
-            "max_complementary_sidelobe_in_zone": self.max_complementary_sidelobe_in_zone,
-            "max_cross_correlation_in_zone": self.max_cross_correlation_in_zone,
-            "max_aaf_sidelobe_omega1": self.max_aaf_sidelobe_omega1,
-            "max_caf_omega2": self.max_caf_omega2,
-            "peak_value": self.peak_value,
-        }
-
 
 def _per_pri_correlations(schedule: TransmitSchedule, row_a: int, row_b: int) -> np.ndarray:
     """Stack of C_{a_n, b_n}(k) lag vectors, one row per PRI."""
@@ -154,47 +145,36 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
 
 
 def zone_metrics(pair: SequencePair, wp: WeightProfile,
-                 schedule: TransmitSchedule | None = None,
-                 omega1: DelayDopplerGrid | None = None,
-                 omega2: DelayDopplerGrid | None = None) -> MetricsReport:
+                 schedule: TransmitSchedule | None = None) -> MetricsReport:
     """Zone maxima of the pair correlations and the V/H ambiguity surfaces.
 
-    Defaults reproduce the tabulated evaluation regions: delays inside the
-    zone, Doppler spans [0, 0.1] for the auto surface and [0, 3] for the
-    cross surface, with an 8-PRI two-row schedule.
+    The evaluation regions are the tabulated ones: delays inside the zone,
+    Doppler spans [0, 0.1] for the auto surface and [0, 3] for the cross
+    surface, with an 8-PRI two-row schedule unless one is given.  The pair
+    correlations come from the same FFT path as the solver's objective.
     """
     L = pair.length
     Z = wp.Z
     if schedule is None:
         schedule = ptm_a_schedule(pair, 8)
-    if omega1 is None:
-        omega1 = DelayDopplerGrid.zone(Z, OMEGA1_DOPPLER_MAX, OMEGA1_SAMPLES)
-    if omega2 is None:
-        omega2 = DelayDopplerGrid.zone(Z, OMEGA2_DOPPLER_MAX, OMEGA2_SAMPLES)
 
-    r = cross_correlation_fft(pair.x, pair.x) + cross_correlation_fft(pair.y, pair.y)
-    c = cross_correlation_fft(pair.x, pair.y)
+    r, c = correlations_via_fft(pair)
     lags = np.arange(-(L - 1), L)
-    comp_zone = (np.abs(lags) < Z) & (lags != 0)
-    cross_zone = np.abs(lags) < Z
+    in_zone = np.abs(lags) < Z
 
-    aaf = ambiguity_surface(schedule, 0, 0, omega1)
-    aaf_mod = aaf.modulus()
-    off_peak = aaf.grid.delays != 0
+    omega1 = DelayDopplerGrid.zone(Z, OMEGA1_DOPPLER_MAX, OMEGA1_SAMPLES)
+    aaf = ambiguity_surface(schedule, 0, 0, omega1).modulus()
     if schedule.rows == 2:
-        caf = ambiguity_surface(schedule, 0, 1, omega2)
-        caf_max = float(np.max(caf.modulus()))
+        omega2 = DelayDopplerGrid.zone(Z, OMEGA2_DOPPLER_MAX, OMEGA2_SAMPLES)
+        caf_max = float(np.max(ambiguity_surface(schedule, 0, 1, omega2).modulus()))
     else:
         caf_max = 0.0
 
-    theta0 = np.argmin(np.abs(aaf.grid.dopplers))
-    peak_row = np.where(aaf.grid.delays == 0)[0]
-    peak = float(aaf_mod[peak_row[0], theta0]) if peak_row.size else 0.0
-
+    # Row Z-1 of the zone grid is delay 0 and column 0 is theta = 0.
     return MetricsReport(
-        max_complementary_sidelobe_in_zone=float(np.max(np.abs(r[comp_zone]))),
-        max_cross_correlation_in_zone=float(np.max(np.abs(c[cross_zone]))),
-        max_aaf_sidelobe_omega1=float(np.max(aaf_mod[off_peak, :])),
+        max_complementary_sidelobe_in_zone=float(np.max(np.abs(r[in_zone & (lags != 0)]))),
+        max_cross_correlation_in_zone=float(np.max(np.abs(c[in_zone]))),
+        max_aaf_sidelobe_omega1=float(np.max(np.delete(aaf, Z - 1, axis=0))),
         max_caf_omega2=caf_max,
-        peak_value=peak,
+        peak_value=float(aaf[Z - 1, 0]),
     )

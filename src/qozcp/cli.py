@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .ambiguity import (
 )
 from .sequences import SequencePair, WeightProfile
 from .solver import SolverConfig, solve
-from .waveform import golay_pair, ptm_a_schedule, siso_schedule
+from .waveform import TransmitSchedule, golay_pair, ptm_a_schedule, siso_schedule
 
 ARCHIVE_FORMAT_VERSION = 1
 
@@ -116,10 +117,9 @@ def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
     return pair, int(doc["Z"])
 
 
-def _pair_metrics(pair: SequencePair, Z: int) -> dict:
-    wp = WeightProfile.indicator(pair.length, Z)
-    report = zone_metrics(pair, wp)
-    out = report.as_dict()
+def _pair_metrics(pair: SequencePair, Z: int, schedule: TransmitSchedule | None = None) -> dict:
+    report = zone_metrics(pair, WeightProfile.indicator(pair.length, Z), schedule=schedule)
+    out = asdict(report)
     if report.peak_value > 0:
         out["max_aaf_sidelobe_omega1_normalized"] = (
             report.max_aaf_sidelobe_omega1 / report.peak_value)
@@ -180,17 +180,9 @@ def cmd_evaluate(args) -> int:
     if schedule.rows == 2:
         outputs[f"{args.out_prefix}_caf.csv"] = ambiguity_surface(schedule, 0, 1, grid)
 
-    wp = WeightProfile.indicator(pair.length, Z)
-    omega2 = DelayDopplerGrid.zone(Z, OMEGA2_DOPPLER_MAX, OMEGA2_SAMPLES)
-    report = zone_metrics(
-        pair, wp,
-        schedule=schedule if schedule.rows == 2 else None,
-        omega2=omega2,
-    )
-    metrics = report.as_dict()
-    if report.peak_value > 0:
-        metrics["max_aaf_sidelobe_omega1_normalized"] = (
-            report.max_aaf_sidelobe_omega1 / report.peak_value)
+    # A one-row schedule has no cross surface; its metrics use the default
+    # two-row schedule, as in design and compare.
+    metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
 
     for name, surface in outputs.items():
         path = _resolve_out(name)

@@ -162,20 +162,16 @@ def _evaluate(z: np.ndarray, wp: WeightProfile) -> Iterate:
     return Iterate(r, c, objective_from_correlations(r, c, wp), (f_x, f_y), z)
 
 
-def descent_vector(z: np.ndarray, wp: WeightProfile, lam_j: float,
-                   r: np.ndarray | None = None, c: np.ndarray | None = None,
-                   spectra=None) -> np.ndarray:
-    """Direction P(z) = (2*lam_j*||z||^2 + lam_u) z - (Q + Q^H) z.
+def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
+    """Direction P(z) = (2*lam_j*||z||^2 + lam_u) z - (Q + Q^H) z at z = rec.z.
 
     The scalar generalizes the energy-specific constant so budgets below L
     stay correct; maximizing Re{x^H P} over the feasible set is one
     majorization-minimization update.
     """
-    if r is None or c is None or spectra is None:
-        r, c, _, spectra, _ = _evaluate(z, wp)
-    lam_u = lambda_u(r, c, wp)
-    ws = weighted_spectra(r, c, wp)
-    qz = gram_product(z, ws, spectra)
+    z = rec.z
+    lam_u = lambda_u(rec.r, rec.c, wp)
+    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra)
     scale = 2.0 * lam_j * float(np.vdot(z, z).real) + lam_u
     return scale * z - qz
 
@@ -236,14 +232,9 @@ def _project(v: np.ndarray, config: SolverConfig) -> np.ndarray:
     ])
 
 
-def _mm_update(z: np.ndarray, config: SolverConfig, lam_j: float,
-               record: Iterate | None = None) -> np.ndarray:
-    """One plain majorization step Proj(P(z)); ``record`` is z's evaluation."""
-    if record is None:
-        record = _evaluate(z, config.weights)
-    p = descent_vector(z, config.weights, lam_j, r=record.r, c=record.c,
-                       spectra=record.spectra)
-    return _project(p, config)
+def _mm_update(rec: Iterate, config: SolverConfig, lam_j: float) -> np.ndarray:
+    """One plain majorization step Proj(P(z)) from the evaluation of z."""
+    return _project(descent_vector(rec, config.weights, lam_j), config)
 
 
 def sdamm_step(state: SolverState, config: SolverConfig,
@@ -264,16 +255,17 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     if not np.isfinite(obj_t):
         raise FloatingPointError("non-finite objective at current iterate")
 
-    z1 = _mm_update(z_t, config, lam_j, record=rec_t)
+    z1 = _mm_update(rec_t, config, lam_j)
     rec1 = _evaluate(z1, wp)
-    z2 = _mm_update(z1, config, lam_j, record=rec1)
+    z2 = _mm_update(rec1, config, lam_j)
     v1 = z1 - z_t
     v2 = z2 - z1 - v1
     norm_v2 = float(np.linalg.norm(v2))
     backtracks = 0
 
     def accelerated(a: float) -> Iterate:
-        return _evaluate(_mm_update(z_t - 2.0 * a * v1 + a ** 2 * v2, config, lam_j), wp)
+        z_a = z_t - 2.0 * a * v1 + a ** 2 * v2
+        return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j), wp)
 
     if norm_v2 == 0.0:
         # Fixed point of the plain map; nothing left to extrapolate.

@@ -54,14 +54,21 @@ def _rev(a: np.ndarray) -> np.ndarray:
     return np.roll(a[::-1], 1)
 
 
+def _lag_correlation(product: np.ndarray) -> np.ndarray:
+    """Lag-order correlation from a spectral product conj(F a) . F b.
+
+    ifft(conj(F a) . F b)[m] = sum_l b[l+m] a*[l] = conj(C_ab(m)); the
+    conjugate restores the direct-sum oracle's convention.
+    """
+    return fft_to_lag_order(np.conj(np.fft.ifft(product)))
+
+
 def cross_correlation_fft(a, b) -> np.ndarray:
     """Aperiodic cross-correlation of two length-L sequences via 2L-point FFTs.
 
     Same lag-order layout and convention as the direct-sum oracle.
     """
-    f_a = forward_spectrum(a)
-    f_b = forward_spectrum(b)
-    return fft_to_lag_order(np.conj(np.fft.ifft(np.conj(f_a) * f_b)))
+    return _lag_correlation(np.conj(forward_spectrum(a)) * forward_spectrum(b))
 
 
 def correlations_via_fft(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
@@ -80,11 +87,8 @@ def correlations_from_spectra(f_x: np.ndarray,
     Callers that keep the spectra for :func:`gram_product` compute them once
     with :func:`forward_spectrum` and pass them here.
     """
-    # ifft(|F x|^2)[m] = sum_l x[l+m] x*[l] = conj(C_x(m)); conjugate restores
-    # the stated layout.  Same argument for the cross term.
-    r_fft = np.conj(np.fft.ifft(np.abs(f_x) ** 2 + np.abs(f_y) ** 2))
-    c_fft = np.conj(np.fft.ifft(np.conj(f_x) * f_y))
-    return fft_to_lag_order(r_fft), fft_to_lag_order(c_fft)
+    return (_lag_correlation(np.abs(f_x) ** 2 + np.abs(f_y) ** 2),
+            _lag_correlation(np.conj(f_x) * f_y))
 
 
 @dataclass
@@ -108,14 +112,14 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> Weighte
     return WeightedSpectra(mu_r=np.fft.fft(t_r), mu_c=np.fft.fft(t_c), alpha=wp.alpha)
 
 
-def gram_product(z: np.ndarray, ws: WeightedSpectra,
-                 spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def gram_product(ws: WeightedSpectra, spectra: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Apply (Q + Q^H) to the stacked iterate z in O(L log L).
 
-    ``spectra`` holds the padded transforms (f_x, f_y) of the iterate that
-    produced ``ws``.  The product of any banded-Toeplitz block with a vector
-    is a circular correlation, evaluated here as ifft(f_v . rev(mu)); the
-    test-only dense construction of Q pins every sign and conjugation.
+    ``spectra`` holds the padded transforms (f_x, f_y) of the iterate z that
+    produced ``ws``; z enters only through them.  The product of any
+    banded-Toeplitz block with a vector is a circular correlation, evaluated
+    here as ifft(f_v . rev(mu)); the test-only dense construction of Q pins
+    every sign and conjugation.
     """
     f_x, f_y = spectra
     L = f_x.size // 2

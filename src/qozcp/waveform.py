@@ -141,23 +141,13 @@ def ptm_a_schedule(pair: SequencePair, N: int) -> TransmitSchedule:
     """
     if N < 2 or N % 2 != 0:
         raise ValueError("N must be a positive even integer")
-    bits = ptm(N)
     row_v: list[SequenceVariant] = []
     row_h: list[SequenceVariant] = []
-    for n in range(N):
-        b = bits[n]
-        if n % 2 == 0:
-            if b == 0:
-                row_v.append(SequenceVariant("X"))
-                row_h.append(SequenceVariant("Y"))
-            else:
-                row_v.append(SequenceVariant("Y", negated=True, reversed_conjugated=True))
-                row_h.append(SequenceVariant("X", reversed_conjugated=True))
+    for n, b in enumerate(ptm(N)):
+        if b == 1:
+            row_v.append(SequenceVariant("Y", negated=True, reversed_conjugated=True))
+            row_h.append(SequenceVariant("X", reversed_conjugated=True))
         else:
-            if b == 1:
-                row_v.append(SequenceVariant("Y", negated=True, reversed_conjugated=True))
-                row_h.append(SequenceVariant("X", reversed_conjugated=True))
-            else:
-                row_v.append(SequenceVariant("X", negated=True))
-                row_h.append(SequenceVariant("Y", negated=True))
+            row_v.append(SequenceVariant("X", negated=n % 2 == 1))
+            row_h.append(SequenceVariant("Y", negated=n % 2 == 1))
     return TransmitSchedule(assignments=[row_v, row_h], pair=pair)

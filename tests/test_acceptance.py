@@ -185,7 +185,7 @@ def test_criterion_4_oracle_equivalence():
             x, y = random_pair(rng, L)
             z = np.concatenate([x, y])
             r, c = correlations_via_fft(SequencePair(x, y))
-            fast = gram_product(z, weighted_spectra(r, c, wp),
+            fast = gram_product(weighted_spectra(r, c, wp),
                                 (forward_spectrum(x), forward_spectrum(y)))
             Q = dense_q(z, wp)
             err = float(np.max(np.abs(fast - (Q + Q.conj().T) @ z)))

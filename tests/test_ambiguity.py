@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -163,7 +165,7 @@ def test_zone_metrics_as_dict_round_trip():
     pair = golay_pair(16)
     wp = WeightProfile.indicator(16, 8)
     m = zone_metrics(pair, wp)
-    d = m.as_dict()
+    d = asdict(m)
     assert set(d) == {
         "max_complementary_sidelobe_in_zone",
         "max_cross_correlation_in_zone",

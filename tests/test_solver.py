@@ -5,6 +5,7 @@ from qozcp.sequences import SequencePair, WeightProfile, objective, papr
 from qozcp.solver import (
     SolverConfig,
     SolverState,
+    _evaluate,
     descent_vector,
     lambda_j,
     lambda_u,
@@ -62,7 +63,7 @@ def test_descent_vector_matches_dense(L):
     for _ in range(5):
         x, y = random_pair(rng, L)
         z = np.concatenate([x, y])
-        fast = descent_vector(z, wp, lam)
+        fast = descent_vector(_evaluate(z, wp), wp, lam)
         dense = dense_descent(z, wp, lam)
         assert np.max(np.abs(fast - dense)) < 1e-9 * np.max(np.abs(dense))
 
