@@ -46,6 +46,8 @@ class DelayDopplerGrid:
         self.dopplers = np.asarray(self.dopplers, dtype=np.float64)
         if self.dopplers.size == 0:
             raise ValueError("doppler list must be non-empty")
+        if not np.all(np.isfinite(self.dopplers)):
+            raise ValueError("doppler values must be finite")
         if np.any(np.diff(self.dopplers) < 0):
             raise ValueError("doppler list must be sorted")
 

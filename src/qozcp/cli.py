@@ -6,10 +6,13 @@ tables with one row per (delay, doppler) cell.
 
 Exit codes: 0 success, 2 usage or data error, 1 internal failure.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
-relative output paths.
+relative output paths.  Output directories are checked before any work, and
+every output is written to a temporary file in its directory that replaces
+the target only once complete.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,10 +40,27 @@ class UsageError(Exception):
 
 
 def _resolve_out(path: str) -> str:
+    """Apply ``QOZCP_OUT_DIR`` and check that the output directory is writable."""
     base = os.environ.get("QOZCP_OUT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise UsageError(f"output directory {directory!r} is missing or not writable")
     return path
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file that replaces ``path`` when the block succeeds."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _seq_to_json(x: np.ndarray) -> list:
@@ -48,6 +68,9 @@ def _seq_to_json(x: np.ndarray) -> list:
 
 
 def _seq_from_json(entries) -> np.ndarray:
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in entries):
+        raise ValueError("sequence must be a list of [re, im] entries")
     return np.array([complex(re, im) for re, im in entries])
 
 
@@ -72,7 +95,11 @@ def write_archive(path: str, pair: SequencePair, config: SolverConfig,
     }
     if objective_history is not None:
         doc["objective_history"] = [float(v) for v in objective_history]
-    with open(path, "w") as fh:
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -83,18 +110,34 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read pair archive {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"corrupt pair archive {path!r}: not a JSON object")
     for key in ("format_version", "L", "Z", "mode", "x", "y"):
         if key not in doc:
             raise UsageError(f"corrupt pair archive {path!r}: missing {key!r}")
-    pair = SequencePair(_seq_from_json(doc["x"]), _seq_from_json(doc["y"]),
-                        meta={"source": path, "Z": doc["Z"], "mode": doc["mode"]})
+    if doc["format_version"] != ARCHIVE_FORMAT_VERSION:
+        raise UsageError(f"pair archive {path!r} has unsupported format_version "
+                         f"{doc['format_version']!r}")
+    if type(doc["L"]) is not int or type(doc["Z"]) is not int:
+        raise UsageError(f"corrupt pair archive {path!r}: L and Z must be integers")
+    try:
+        pair = SequencePair(_seq_from_json(doc["x"]), _seq_from_json(doc["y"]),
+                            meta={"source": path, "Z": doc["Z"], "mode": doc["mode"]})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"corrupt pair archive {path!r}: {exc}") from exc
     if pair.length != doc["L"]:
         raise UsageError(f"corrupt pair archive {path!r}: length mismatch")
+    _check_zone(doc["Z"], pair.length)
     return pair, doc
 
 
+def _check_zone(Z: int, L: int) -> None:
+    if not 1 < Z <= L:
+        raise UsageError(f"zone must satisfy 1 < Z <= L, got Z={Z}, L={L}")
+
+
 def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
         for i, k in enumerate(surface.grid.delays):
             for j, theta in enumerate(surface.grid.dopplers):
@@ -114,7 +157,7 @@ def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     pair, doc = read_archive(ref)
-    return pair, int(doc["Z"])
+    return pair, doc["Z"]
 
 
 def _pair_metrics(pair: SequencePair, Z: int, schedule: TransmitSchedule | None = None) -> dict:
@@ -132,14 +175,18 @@ def cmd_design(args) -> int:
     if args.restarts < 1:
         raise UsageError("--restarts must be at least 1")
     p_r = args.papr if args.papr is not None else 5.0
-
-    best = None
-    for i in range(args.restarts):
-        config = SolverConfig(
+    out = _resolve_out(args.out)
+    try:
+        configs = [SolverConfig(
             L=args.length, Z=args.zone, alpha=args.alpha, mode=args.mode,
             p_r=p_r, max_iter=args.max_iter, tol=args.tol,
             seed=args.seed + i,
-        )
+        ) for i in range(args.restarts)]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    best = None
+    for config in configs:
         pair, state = solve(config)
         final = state.objective_history[-1]
         if best is None or final < best[2]:
@@ -147,7 +194,6 @@ def cmd_design(args) -> int:
 
     pair, state, _, config = best
     metrics = _pair_metrics(pair, args.zone)
-    out = _resolve_out(args.out)
     write_archive(out, pair, config, metrics,
                   objective_history=state.objective_history)
     print(f"wrote {out}")
@@ -156,42 +202,32 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _build_schedule(pair: SequencePair, kind: str, n_pri: int):
-    if kind == "ptm-siso":
-        return siso_schedule(pair, n_pri)
-    if kind == "ptm-a":
-        try:
-            return ptm_a_schedule(pair, n_pri)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown schedule {kind!r}")
-
-
 def cmd_evaluate(args) -> int:
+    prefix = _resolve_out(args.out_prefix)
     pair, archive_z = _load_pair(args.pair)
     Z = args.zone if args.zone is not None else (archive_z or pair.length)
-    if not 1 < Z <= pair.length:
-        raise UsageError("zone must satisfy 1 < Z <= L")
-    schedule = _build_schedule(pair, args.schedule, args.pri)
+    _check_zone(Z, pair.length)
+    build = ptm_a_schedule if args.schedule == "ptm-a" else siso_schedule
+    try:
+        schedule = build(pair, args.pri)
+        grid = DelayDopplerGrid.zone(Z, args.doppler_max, args.doppler_samples)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
-    grid = DelayDopplerGrid.zone(Z, args.doppler_max, args.doppler_samples)
     aaf = ambiguity_surface(schedule, 0, 0, grid)
-    outputs = {f"{args.out_prefix}_aaf.csv": aaf}
+    outputs = {f"{prefix}_aaf.csv": aaf}
     if schedule.rows == 2:
-        outputs[f"{args.out_prefix}_caf.csv"] = ambiguity_surface(schedule, 0, 1, grid)
+        outputs[f"{prefix}_caf.csv"] = ambiguity_surface(schedule, 0, 1, grid)
 
     # A one-row schedule has no cross surface; its metrics use the default
     # two-row schedule, as in design and compare.
     metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
 
-    for name, surface in outputs.items():
-        path = _resolve_out(name)
+    for path, surface in outputs.items():
         write_surface_table(path, surface)
         print(f"wrote {path}")
-    metrics_path = _resolve_out(f"{args.out_prefix}_metrics.json")
-    with open(metrics_path, "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    metrics_path = f"{prefix}_metrics.json"
+    _write_json(metrics_path, metrics)
     print(f"wrote {metrics_path}")
     return 0
 
@@ -207,6 +243,7 @@ def cmd_compare(args) -> int:
     if z_a is not None and z_b is not None and z_a != z_b:
         raise UsageError("archives disagree on Z; pass --zone to override")
     Z = zones[0]
+    _check_zone(Z, pair_a.length)
 
     rows = [
         ("max complementary sidelobe (|k|<Z)", "max_complementary_sidelobe_in_zone"),

@@ -4,12 +4,16 @@ import os
 import numpy as np
 import pytest
 
+import qozcp.cli
+from qozcp.ambiguity import AmbiguitySurface, DelayDopplerGrid
 from qozcp.cli import (
     main,
     read_archive,
     write_archive,
+    write_surface_table,
 )
 from qozcp.solver import SolverConfig, solve
+from qozcp.waveform import golay_pair
 
 
 def _design(tmp_path, name="pair.json", extra=()):
@@ -218,3 +222,111 @@ def test_console_entry_point():
     res = subprocess.run([*cmd, "--help"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "design" in res.stdout and "evaluate" in res.stdout
+
+
+def _set_entry(doc, value):
+    doc["x"][3] = value
+
+
+# Each case turns a valid L=16, Z=8 archive into a malformed one.
+MALFORMED_ARCHIVES = {
+    "nan_entry": lambda doc: _set_entry(doc, [float("nan"), 0.0]),
+    "one_element_entry": lambda doc: _set_entry(doc, [1.0]),
+    "x_not_a_list": lambda doc: doc.update(x=1.0),
+    "non_integer_z": lambda doc: doc.update(Z=7.5),
+    "z_above_l": lambda doc: doc.update(Z=17),
+    "future_format_version": lambda doc: doc.update(format_version=99),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+def test_malformed_archive_exits_2(tmp_path, command, case):
+    config = SolverConfig(L=16, Z=8)
+    path = tmp_path / "bad.json"
+    write_archive(str(path), golay_pair(16), config, metrics={})
+    doc = json.loads(path.read_text())
+    MALFORMED_ARCHIVES[case](doc)
+    path.write_text(json.dumps(doc))
+    if command == "evaluate":
+        argv = ["evaluate", "--pair", str(path), "--out-prefix", str(tmp_path / "o")]
+    else:
+        argv = ["compare", "--pair", str(path), "--pair", "golay:16"]
+    assert main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--length", "1", "--zone", "2", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--alpha", "2", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--papr", "nan", "--out", "{d}/a.json"],
+    ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
+     "--out-prefix", "{d}/e"],
+    ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
+     "--out-prefix", "{d}/e"],
+    ["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
+     "--pri", "0", "--out-prefix", "{d}/e"],
+    ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
+], ids=["length-1", "alpha-2", "papr-nan", "doppler-samples-0", "doppler-max-nan",
+        "siso-pri-0", "compare-zone-above-l"])
+def test_bad_flags_exit_2(tmp_path, argv):
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_output_directory_exits_2_before_work(tmp_path, monkeypatch):
+    def no_solve(config):
+        raise AssertionError("solve ran before the output directory was checked")
+
+    monkeypatch.setattr(qozcp.cli, "solve", no_solve)
+    missing = tmp_path / "missing"
+    rc = main(["design", "--length", "16", "--zone", "8",
+               "--out", str(missing / "a.json")])
+    assert rc == 2
+    rc = main(["evaluate", "--pair", "golay:16", "--zone", "8",
+               "--out-prefix", str(missing / "e")])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _failing_writes(path):
+    """Writes to ``path`` that each fail part-way through."""
+    config = SolverConfig(L=16, Z=8)
+    # json cannot encode the object, so the archive stops mid-document
+    yield lambda: write_archive(str(path), golay_pair(16), config, metrics={"bad": object()})
+    # one delay row more than the values hold, so the table stops mid-row
+    grid = DelayDopplerGrid(delays=np.arange(-2, 3), dopplers=np.array([0.0, 1.0]))
+    surface = AmbiguitySurface(grid=grid, values=np.ones((4, 2), dtype=complex))
+    yield lambda: write_surface_table(str(path), surface)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_file(tmp_path, existing):
+    path = tmp_path / "out"
+    if existing:
+        path.write_text("previous contents\n")
+    for write in _failing_writes(path):
+        with pytest.raises((TypeError, IndexError)):
+            write()
+        if existing:
+            assert path.read_text() == "previous contents\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_metrics_agree_across_design_evaluate_compare(tmp_path, capsys):
+    archive = _design(tmp_path)
+    design_metrics = json.loads(archive.read_text())["metrics"]
+    prefix = tmp_path / "ev"
+    assert main(["evaluate", "--pair", str(archive), "--pri", "8",
+                 "--out-prefix", str(prefix)]) == 0
+    assert json.loads((tmp_path / "ev_metrics.json").read_text()) == design_metrics
+    capsys.readouterr()
+    assert main(["compare", "--pair", "golay:16", "--pair", str(archive)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    keys = ["max_complementary_sidelobe_in_zone", "max_cross_correlation_in_zone",
+            "max_aaf_sidelobe_omega1", "max_caf_omega2"]
+    assert len(rows) == len(keys)
+    for row, key in zip(rows, keys):
+        assert row.split()[-1] == f"{design_metrics[key]:.6e}"

@@ -107,6 +107,24 @@ def test_ptm_a_schedule_n8_layout():
     assert h == ["y", "~x", "~x", "-y", "~x", "-y", "y", "~x"]
 
 
+# (PRI parity, Thue-Morse bit) -> (V, H), the four cases of the docstring
+PTM_A_RULE = {
+    (0, 0): ("x", "y"),
+    (0, 1): ("-~y", "~x"),
+    (1, 1): ("-~y", "~x"),
+    (1, 0): ("-x", "-y"),
+}
+
+
+@pytest.mark.parametrize("N", range(2, 65, 2))
+def test_ptm_a_schedule_follows_four_case_rule(N):
+    sched = ptm_a_schedule(golay_pair(4), N)
+    for n in range(N):
+        bit = bin(n).count("1") % 2          # Thue-Morse bit as digit-sum parity
+        cell = (str(sched.assignments[0][n]), str(sched.assignments[1][n]))
+        assert cell == PTM_A_RULE[(n % 2, bit)], (N, n)
+
+
 def test_ptm_a_schedule_requires_even_n():
     pair = golay_pair(4)
     with pytest.raises(ValueError):
