@@ -69,6 +69,8 @@ class SolverConfig:
             raise ValueError("zone must satisfy 1 < Z <= L")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.max_iter < 0 or not self.tol >= 0.0:
+            raise ValueError("max_iter and tol must be nonnegative")
         if self.mode == "unimodular":
             # |z_l| = 1 forces the energy budget to L.
             self.p_e = float(self.L)

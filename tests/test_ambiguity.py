@@ -37,12 +37,9 @@ def test_grid_validation():
         DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([]))
     with pytest.raises(ValueError):
         DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([1.0, 0.0]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_grid_rejects_non_finite_doppler(bad):
-    with pytest.raises(ValueError, match="finite"):
-        DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([0.0, bad]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([0.0, bad]))
 
 
 def test_surface_matches_brute_force():

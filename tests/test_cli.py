@@ -260,6 +260,8 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["design", "--length", "1", "--zone", "2", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--alpha", "2", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--papr", "nan", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--max-iter", "-5", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--tol", "nan", "--out", "{d}/a.json"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
@@ -267,8 +269,8 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
-], ids=["length-1", "alpha-2", "papr-nan", "doppler-samples-0", "doppler-max-nan",
-        "siso-pri-0", "compare-zone-above-l"])
+], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
+        "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, argv):
     assert main([a.format(d=tmp_path) for a in argv]) == 2
     assert list(tmp_path.iterdir()) == []
