@@ -6,8 +6,12 @@ is the Doppler-phased sum of per-PRI correlations,
     g(k, theta) = sum_n exp(j n theta) * C_{a_n, b_n}(k),
 
 auto-ambiguity when both rows coincide and cross-ambiguity otherwise.
-Per-PRI correlations are computed once with the FFT path and reused for every
-Doppler sample.
+Per-PRI correlations are computed with the FFT path once per distinct cell
+pair (a_n, b_n) -- three for a PTM-A surface and two for PTM-SISO, whatever
+the number of PRIs -- and reused for every PRI and Doppler sample.  The
+sign, reversal and conjugation identities between the cells are not
+encoded; the tests compare the stack with one materialized correlation per
+PRI.
 """
 
 from dataclasses import dataclass
@@ -91,12 +95,22 @@ class MetricsReport:
 
 
 def _per_pri_correlations(schedule: TransmitSchedule, row_a: int, row_b: int) -> np.ndarray:
-    """Stack of C_{a_n, b_n}(k) lag vectors, one row per PRI."""
-    return np.stack([
+    """Stack of C_{a_n, b_n}(k) lag vectors, one row per PRI.
+
+    Each distinct cell pair (a_n, b_n) is correlated once, at the first PRI
+    that carries it; the stack repeats those rows.
+    """
+    cells = list(zip(schedule.assignments[row_a], schedule.assignments[row_b]))
+    first: dict = {}
+    for n, cell in enumerate(cells):
+        first.setdefault(cell, n)
+    distinct = np.stack([
         cross_correlation_fft(materialize(schedule, row_a, n),
                               materialize(schedule, row_b, n))
-        for n in range(schedule.n_pri)
+        for n in first.values()
     ])
+    slot = {cell: i for i, cell in enumerate(first)}
+    return distinct[[slot[cell] for cell in cells]]
 
 
 def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
@@ -105,11 +119,14 @@ def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
     L = schedule.pair.length
     if np.any(np.abs(grid.delays) > L - 1):
         raise ValueError("grid delay exceeds L-1")
-    corr = _per_pri_correlations(schedule, row_a, row_b)
     rows = np.array([lag_index(int(k), L) for k in grid.delays])
+    # Only the grid's lags are kept, and the phases are exponentiated in
+    # place, so the N x (2L-1) stack and a second N x D array never coexist.
+    corr = _per_pri_correlations(schedule, row_a, row_b)[:, rows]
     n = np.arange(schedule.n_pri)
-    phases = np.exp(1j * np.outer(n, grid.dopplers))
-    values = corr[:, rows].T @ phases
+    phases = 1j * np.outer(n, grid.dopplers)
+    np.exp(phases, out=phases)
+    values = corr.T @ phases
     return AmbiguitySurface(grid=grid, values=values)
 
 

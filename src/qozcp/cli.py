@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 usage or data error, 1 internal failure.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
 relative output paths.  Output directories are checked before any work, and
 every output is written to a temporary file in its directory that replaces
-the target only once complete.
+the target only once complete; ``evaluate`` replaces its tables and metrics
+together, after all of them are written.
 """
 
 import argparse
@@ -51,16 +52,25 @@ def _resolve_out(path: str) -> str:
 
 
 @contextlib.contextmanager
+def _staged(paths: list[str]):
+    """Temporary paths, one per target, that replace the targets together
+    once the block succeeds and are removed otherwise."""
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+@contextlib.contextmanager
 def _atomic_open(path: str):
     """Text handle on a temporary file that replaces ``path`` when the block succeeds."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+    with _staged([path]) as (tmp,), open(tmp, "w") as fh:
+        yield fh
 
 
 def _seq_to_json(x: np.ndarray) -> list:
@@ -137,12 +147,20 @@ def _check_zone(Z: int, L: int) -> None:
 
 
 def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
+    """One CSV row per grid cell; numbers are shortest round-trip ``repr``.
+
+    Values with fewer rows or columns than the grid raise ``IndexError``.
+    """
+    thetas = [repr(theta) for theta in surface.grid.dopplers.tolist()]
+    values = surface.values.tolist()
     with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
-        for i, k in enumerate(surface.grid.delays):
-            for j, theta in enumerate(surface.grid.dopplers):
-                v = complex(surface.values[i, j])
-                fh.write(f"{int(k)},{float(theta)!r},{v.real!r},{v.imag!r},{abs(v)!r}\n")
+        for i, k in enumerate(surface.grid.delays.tolist()):
+            row = values[i]
+            if len(row) < len(thetas):
+                raise IndexError(f"surface row {i} is narrower than the Doppler grid")
+            fh.write("".join([f"{k},{theta},{v.real!r},{v.imag!r},{abs(v)!r}\n"
+                              for theta, v in zip(thetas, row)]))
 
 
 def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
@@ -223,12 +241,14 @@ def cmd_evaluate(args) -> int:
     # two-row schedule, as in design and compare.
     metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
 
-    for path, surface in outputs.items():
-        write_surface_table(path, surface)
+    # The outputs replace their targets only once all of them are written.
+    paths = [*outputs, f"{prefix}_metrics.json"]
+    with _staged(paths) as tmps:
+        for tmp, surface in zip(tmps, outputs.values()):
+            write_surface_table(tmp, surface)
+        _write_json(tmps[-1], metrics)
+    for path in paths:
         print(f"wrote {path}")
-    metrics_path = f"{prefix}_metrics.json"
-    _write_json(metrics_path, metrics)
-    print(f"wrote {metrics_path}")
     return 0
 
 

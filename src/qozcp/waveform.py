@@ -1,8 +1,10 @@
 """Thue-Morse machinery, Golay baseline pairs, and Doppler-resilient schedules.
 
 Schedules store symbolic variants (base sequence, sign, reversal flags) and
-materialize concrete length-L sequences on demand; correlation identities of
-the variants are asserted in the tests rather than encoded algebraically.
+materialize concrete length-L sequences on demand.  Variants are hashable, so
+the ambiguity code correlates each distinct cell pair once; correlation
+identities of the variants are asserted in the tests rather than encoded
+algebraically.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,16 @@
-"""Dense brute-force constructions used only as test oracles.
+"""Dense brute-force constructions and slow reference paths used only as test oracles.
 
-These materialize the lifted matrices that the production path deliberately
-avoids; they are only feasible for tiny L.
+The dense ones materialize the lifted matrices that the production path
+deliberately avoids; they are only feasible for tiny L.  The reference paths
+are earlier, plainer versions of fast production code, kept so the tests can
+check the fast code bit for bit or byte for byte.
 """
 
 import numpy as np
 
 from qozcp.sequences import WeightProfile, auto_correlation, cross_correlation
+from qozcp.spectral import cross_correlation_fft
+from qozcp.waveform import materialize
 
 
 def shift_matrix(L: int, k: int) -> np.ndarray:
@@ -114,3 +118,22 @@ def proj_papr_bisect(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
     out_mag = np.minimum(delta * mags, p_c)
     out_mag[~nonzero] = 0.0
     return out_mag * phases
+
+
+def per_pri_correlations(schedule, row_a: int, row_b: int) -> np.ndarray:
+    """One FFT correlation of the materialized cells per PRI, repeats included."""
+    return np.stack([
+        cross_correlation_fft(materialize(schedule, row_a, n),
+                              materialize(schedule, row_b, n))
+        for n in range(schedule.n_pri)
+    ])
+
+
+def write_surface_table_per_cell(path: str, surface) -> None:
+    """Surface CSV formatted one numpy scalar at a time: the reference bytes."""
+    with open(path, "w") as fh:
+        fh.write("k,theta,re,im,modulus\n")
+        for i, k in enumerate(surface.grid.delays):
+            for j, theta in enumerate(surface.grid.dopplers):
+                v = complex(surface.values[i, j])
+                fh.write(f"{int(k)},{float(theta)!r},{v.real!r},{v.imag!r},{abs(v)!r}\n")

@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import qozcp.ambiguity
 from qozcp.ambiguity import (
     OMEGA1_DOPPLER_MAX,
     OMEGA1_SAMPLES,
@@ -16,7 +17,7 @@ from qozcp.ambiguity import (
 from qozcp.sequences import SequencePair, WeightProfile, complementary_sum, cross_correlation
 from qozcp.waveform import golay_pair, ptm_a_schedule, siso_schedule
 
-from oracles import random_pair
+from oracles import per_pri_correlations, random_pair
 
 
 def _random_schedule_pair(seed, L=16):
@@ -177,3 +178,34 @@ def test_zone_metrics_as_dict_round_trip():
         "peak_value",
     }
     assert d["peak_value"] == m.peak_value
+
+
+def _schedule_surfaces(pair, N):
+    """(schedule, row_a, row_b) for every surface evaluate and zone_metrics draw."""
+    ptm_a = ptm_a_schedule(pair, N)
+    return [(ptm_a, 0, 0), (ptm_a, 0, 1), (siso_schedule(pair, N), 0, 0)]
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_per_pri_correlations_match_materialized_oracle(N):
+    for pair in (_random_schedule_pair(21), golay_pair(16)):
+        for sched, a, b in _schedule_surfaces(pair, N):
+            corr = qozcp.ambiguity._per_pri_correlations(sched, a, b)
+            assert np.array_equal(corr, per_pri_correlations(sched, a, b))
+
+
+def test_correlations_run_once_per_distinct_cell(monkeypatch):
+    calls = []
+    fft_corr = qozcp.ambiguity.cross_correlation_fft
+
+    def counting(x, y):
+        calls.append(1)
+        return fft_corr(x, y)
+
+    monkeypatch.setattr(qozcp.ambiguity, "cross_correlation_fft", counting)
+    pair = _random_schedule_pair(22)
+    grid = DelayDopplerGrid.zone(8, 3.0, 5)
+    for (sched, a, b), budget in zip(_schedule_surfaces(pair, 64), (3, 3, 2)):
+        calls.clear()
+        ambiguity_surface(sched, a, b, grid)
+        assert 1 <= len(calls) <= budget

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qozcp.cli
-from qozcp.ambiguity import AmbiguitySurface, DelayDopplerGrid
+from qozcp.ambiguity import AmbiguitySurface, DelayDopplerGrid, ambiguity_surface
 from qozcp.cli import (
     main,
     read_archive,
@@ -13,7 +13,9 @@ from qozcp.cli import (
     write_surface_table,
 )
 from qozcp.solver import SolverConfig, solve
-from qozcp.waveform import golay_pair
+from qozcp.waveform import golay_pair, ptm_a_schedule
+
+from oracles import write_surface_table_per_cell
 
 
 def _design(tmp_path, name="pair.json", extra=()):
@@ -300,6 +302,9 @@ def _failing_writes(path):
     grid = DelayDopplerGrid(delays=np.arange(-2, 3), dopplers=np.array([0.0, 1.0]))
     surface = AmbiguitySurface(grid=grid, values=np.ones((4, 2), dtype=complex))
     yield lambda: write_surface_table(str(path), surface)
+    # one Doppler column fewer than the grid, so the table stops at its first row
+    narrow = AmbiguitySurface(grid=grid, values=np.ones((5, 1), dtype=complex))
+    yield lambda: write_surface_table(str(path), narrow)
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -332,3 +337,41 @@ def test_metrics_agree_across_design_evaluate_compare(tmp_path, capsys):
     assert len(rows) == len(keys)
     for row, key in zip(rows, keys):
         assert row.split()[-1] == f"{design_metrics[key]:.6e}"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_evaluate_failure_replaces_no_output(tmp_path, monkeypatch, existing):
+    # the metrics JSON is written last; its failure must keep both tables out too
+    def failing_json(path, doc):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(qozcp.cli, "_write_json", failing_json)
+    aaf = tmp_path / "ev_aaf.csv"
+    if existing:
+        aaf.write_text("previous contents\n")
+    rc = main(["evaluate", "--pair", "golay:16", "--zone", "8", "--pri", "8",
+               "--doppler-samples", "4", "--out-prefix", str(tmp_path / "ev")])
+    assert rc == 1
+    assert not (tmp_path / "ev_caf.csv").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    if existing:
+        assert aaf.read_text() == "previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ev_aaf.csv"]
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_surface_table_bytes_match_per_cell_oracle(tmp_path):
+    rng = np.random.default_rng(0)
+    grid = DelayDopplerGrid.zone(6, 3.0, 7)
+    shape = (grid.delays.size, grid.dopplers.size)
+    random_surface = AmbiguitySurface(
+        grid=grid, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # the modulus must be abs() of the Python complex, not np.abs
+    assert any(abs(complex(v)) != float(np.abs(v)) for v in random_surface.values.flat)
+    golay = ambiguity_surface(ptm_a_schedule(golay_pair(16), 8), 0, 1,
+                              DelayDopplerGrid.zone(8, 3.0, 9))
+    for surface in (random_surface, golay):
+        write_surface_table(str(tmp_path / "fast.csv"), surface)
+        write_surface_table_per_cell(str(tmp_path / "oracle.csv"), surface)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
