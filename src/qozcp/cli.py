@@ -97,6 +97,7 @@ def write_archive(path: str, pair: SequencePair, config: SolverConfig,
             "p_r": config.p_r if config.mode == "papr" else 1.0,
             "max_iter": config.max_iter,
             "tol": config.tol,
+            "target": config.target,
             "seed": pair.meta.get("seed", config.seed),
         },
         "x": _seq_to_json(pair.x),
@@ -197,7 +198,7 @@ def cmd_design(args) -> int:
     try:
         configs = [SolverConfig(
             L=args.length, Z=args.zone, alpha=args.alpha, mode=args.mode,
-            p_r=p_r, max_iter=args.max_iter, tol=args.tol,
+            p_r=p_r, max_iter=args.max_iter, tol=args.tol, target=args.target,
             seed=args.seed + i,
         ) for i in range(args.restarts)]
     except ValueError as exc:
@@ -215,6 +216,7 @@ def cmd_design(args) -> int:
     write_archive(out, pair, config, metrics,
                   objective_history=state.objective_history)
     print(f"wrote {out}")
+    print(f"  stop: {state.stop_reason} after {state.iteration} iterations")
     for key, value in metrics.items():
         print(f"  {key}: {value:.6e}")
     return 0
@@ -298,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-iter", type=int, default=200_000)
     p.add_argument("--tol", type=float, default=1e-14)
+    p.add_argument("--target", type=float, default=None,
+                   help="stop once both in-zone correlation maxima are at or below "
+                        "this (default 1e-11 of the zero-lag peak 2*p_e)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design)
 

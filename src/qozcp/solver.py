@@ -8,6 +8,11 @@ modulus, and water-filling (one sort plus suffix sums) for the energy and
 per-entry cap of PAPR mode.  The fixed-point map is accelerated with an
 extrapolated step and objective-guarded backtracking.
 
+A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
+``target`` (both in-zone correlation maxima at or below the target),
+``floor`` (no step lowers the objective, so the iterate is kept), ``stalled``
+(one step's relative objective change below ``tol``) or ``max_iter``.
+
 Evaluation budget: an evaluation (:func:`_evaluate`) is the two padded
 forward transforms, the correlations and the objective of one iterate, and
 its :class:`Iterate` record feeds the next descent vector.  A step evaluates
@@ -59,6 +64,7 @@ class SolverConfig:
     p_r: float = 5.0              # PAPR cap, papr mode only
     max_iter: int = 200_000
     tol: float = 1e-14
+    target: float | None = None   # in-zone maxima bound, defaults to 1e-11 * 2 p_e
     seed: int = 0
     weights: WeightProfile | None = None
 
@@ -71,6 +77,8 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.max_iter < 0 or not self.tol >= 0.0:
             raise ValueError("max_iter and tol must be nonnegative")
+        if self.target is not None and not self.target >= 0.0:
+            raise ValueError("target must be nonnegative")
         if self.mode == "unimodular":
             # |z_l| = 1 forces the energy budget to L.
             self.p_e = float(self.L)
@@ -78,6 +86,9 @@ class SolverConfig:
             self.p_e = float(self.L)
         if self.p_e > self.L:
             raise ValueError("p_e must not exceed L")
+        if self.target is None:
+            # 1e-11 of the zero-lag peak 2 p_e of C_x + C_y.
+            self.target = 1e-11 * 2.0 * self.p_e
         if self.mode == "papr" and not 1.0 <= self.p_r <= self.L:
             raise ValueError("p_r must lie in [1, L]")
         if self.weights is None:
@@ -121,6 +132,7 @@ class SolverState:
     objective_history: list = field(default_factory=list)
     last_step: dict = field(default_factory=dict)
     record: Iterate | None = field(default=None, repr=False)
+    stop_reason: str | None = None
 
     @property
     def pair(self) -> SequencePair:
@@ -244,7 +256,9 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     """Accelerated fixed-point update with objective-guarded backtracking.
 
     Appends the new objective to ``state.objective_history`` in place and
-    hands the same list to the returned state.
+    hands the same list to the returned state.  When no candidate lowers the
+    objective, which only round-off allows, the step keeps the current
+    iterate and its record, so the history never rises.
     """
     wp = config.weights
     if lam_j is None:
@@ -285,6 +299,8 @@ def sdamm_step(state: SolverState, config: SolverConfig,
                 break
             alpha_sl = (alpha_sl - 1.0) / 2.0
             rec_next = accelerated(alpha_sl)
+    if rec_next.objective > obj_t:
+        rec_next = rec_t
 
     history = state.objective_history
     history.append(rec_next.objective)
@@ -304,19 +320,39 @@ def _initial_z(config: SolverConfig) -> np.ndarray:
 
 
 def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:
-    """Run the accelerated fixed-point loop from a seeded random start."""
+    """Run the accelerated fixed-point loop from a seeded random start.
+
+    Stops at the first of: both in-zone maxima at or below ``config.target``
+    (read from the step's record, so no extra transform), a step that keeps
+    its iterate, a relative change below ``config.tol``, or ``max_iter``
+    steps; ``state.stop_reason`` names which.
+    """
     wp = config.weights
     lam_j = lambda_j(wp, config.L)
     record = _evaluate(_initial_z(config), wp)
     state = SolverState(z=record.z, objective_history=[record.objective], record=record)
+    lags = np.abs(np.arange(-(config.L - 1), config.L))
+    in_zone = lags < config.Z
+    sidelobes = in_zone & (lags > 0)
 
+    reason = "max_iter"
     for _ in range(config.max_iter):
+        z_prev = state.z
         state = sdamm_step(state, config, lam_j=lam_j)
-        prev, cur = state.objective_history[-2], state.objective_history[-1]
-        if prev == cur == 0.0:
-            break
-        if abs(prev - cur) < config.tol * max(abs(prev), np.finfo(float).tiny):
-            break
+        rec = state.record
+        prev, cur = state.objective_history[-2:]
+        if (np.max(np.abs(rec.r[sidelobes])) <= config.target
+                and np.max(np.abs(rec.c[in_zone])) <= config.target):
+            reason = "target"
+        elif state.z is z_prev:
+            reason = "floor"
+        elif prev == cur == 0.0 or (
+                abs(prev - cur) < config.tol * max(abs(prev), np.finfo(float).tiny)):
+            reason = "stalled"
+        else:
+            continue
+        break
+    state.stop_reason = reason
 
     pair = state.pair
     pair.meta = {

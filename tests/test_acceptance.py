@@ -31,6 +31,7 @@ from qozcp.solver import (
     proj_papr,
     proj_unimodular,
     sdamm_step,
+    solve,
 )
 from qozcp.spectral import (
     correlations_via_fft,
@@ -57,25 +58,12 @@ def _zone_maxima(pair: SequencePair, Z: int) -> tuple[float, float]:
 
 
 def _design_best(Z: int, seeds=range(5), max_iter=3000, target=1e-6):
-    """Best-of-restarts design run with early exit once the zone clears."""
+    """Best-of-restarts design run, each restart stopping once the zone clears."""
     best = None
     for seed in seeds:
-        config = SolverConfig(L=L_MAIN, Z=Z, mode="papr", p_r=5.0,
-                              alpha=0.5, seed=seed, max_iter=max_iter)
-        lam = lambda_j(config.weights, config.L)
-        state = SolverState(z=_initial_z(config))
-        state.objective_history.append(_evaluate(state.z, config.weights)[2])
-        pair = state.pair
-        for it in range(max_iter):
-            state = sdamm_step(state, config, lam_j=lam)
-            if (it + 1) % 100 == 0:
-                pair = state.pair
-                comp, cross = _zone_maxima(pair, Z)
-                if max(comp, cross) <= target:
-                    break
-        pair = state.pair
-        comp, cross = _zone_maxima(pair, Z)
-        score = max(comp, cross)
+        pair, _ = solve(SolverConfig(L=L_MAIN, Z=Z, mode="papr", p_r=5.0, alpha=0.5,
+                                     seed=seed, max_iter=max_iter, target=target))
+        score = max(_zone_maxima(pair, Z))
         if best is None or score < best[0]:
             best = (score, pair)
         if score <= target:

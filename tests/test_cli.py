@@ -36,9 +36,22 @@ def test_design_writes_archive(tmp_path, capsys):
     assert doc["L"] == 16 and doc["Z"] == 8
     assert len(doc["x"]) == 16 and len(doc["y"]) == 16
     assert "max_cross_correlation_in_zone" in doc["metrics"]
+    assert doc["config"]["target"] == SolverConfig(L=16, Z=8).target
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
     assert "max_complementary_sidelobe_in_zone" in stdout
+    assert "stop: max_iter after 40 iterations" in stdout
+
+
+def test_design_target_flag(tmp_path, capsys):
+    out = _design(tmp_path, extra=("--target", "1e-3"))
+    doc = json.loads(out.read_text())
+    assert doc["config"]["target"] == 1e-3
+    iterations = len(doc["objective_history"]) - 1
+    assert iterations < 40
+    assert f"stop: target after {iterations} iterations" in capsys.readouterr().out
+    assert doc["metrics"]["max_complementary_sidelobe_in_zone"] <= 1e-3
+    assert doc["metrics"]["max_cross_correlation_in_zone"] <= 1e-3
 
 
 def test_archive_round_trip_is_lossless(tmp_path):
@@ -264,6 +277,8 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["design", "--length", "16", "--zone", "8", "--papr", "nan", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--max-iter", "-5", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--tol", "nan", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--target", "-1", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--target", "nan", "--out", "{d}/a.json"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
@@ -272,6 +287,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
+        "target-negative", "target-nan",
         "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, argv):
     assert main([a.format(d=tmp_path) for a in argv]) == 2

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qozcp.sequences import SequencePair, WeightProfile, objective, papr
+from qozcp.sequences import (
+    SequencePair,
+    WeightProfile,
+    complementary_sum,
+    cross_correlation,
+    objective,
+    papr,
+)
 from qozcp.solver import (
     SolverConfig,
     SolverState,
@@ -236,7 +243,52 @@ def test_config_validation():
         SolverConfig(L=8, Z=4, mode="other")
     with pytest.raises(ValueError):
         SolverConfig(L=8, Z=4, p_r=0.5)
+    for target in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(L=8, Z=4, target=target)
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
+    assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_stops_at_round_off_floor(seed):
+    config = SolverConfig(L=64, Z=10, p_r=5.0, seed=seed, target=0.0)
+    _, state = solve(config)
+    assert state.stop_reason == "floor"
+    assert state.iteration < 1000
+    hist = state.objective_history
+    assert np.all(np.diff(hist) <= 0)
+    # the last step kept its iterate and recorded its objective once more
+    assert len(hist) == state.iteration + 1 and hist[-1] == hist[-2]
+    assert state.record.z is state.z
+
+
+def test_solve_stops_at_zone_target():
+    config = SolverConfig(L=64, Z=30, p_r=5.0, seed=0)
+    pair, state = solve(config)
+    assert state.stop_reason == "target"
+    r = complementary_sum(pair)
+    c = cross_correlation(pair.x, pair.y)
+    lags = np.abs(np.arange(-63, 64))
+    assert np.max(np.abs(r[(lags < 30) & (lags > 0)])) <= config.target
+    assert np.max(np.abs(c[lags < 30])) <= config.target
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"L": 16, "Z": 8, "seed": 5, "max_iter": 5}, "max_iter"),
+    ({"L": 16, "Z": 8, "seed": 5, "max_iter": 0}, "max_iter"),
+    # A full zone cannot be cleared: the objective levels off.
+    ({"L": 8, "Z": 8, "mode": "unimodular", "seed": 0}, "stalled"),
+])
+def test_solve_stop_reasons(kwargs, reason):
+    config = SolverConfig(**kwargs)
+    _, state = solve(config)
+    assert state.stop_reason == reason
+    assert len(state.objective_history) == state.iteration + 1
+    if reason == "max_iter":
+        assert state.iteration == config.max_iter
+    else:
+        assert state.iteration < config.max_iter
 
 
 def test_sdamm_step_accepts_manual_state():
