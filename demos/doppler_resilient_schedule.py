@@ -22,8 +22,9 @@ from qozcp import (
 
 
 def main():
-    config = SolverConfig(L=64, Z=30, seed=0, max_iter=2000, tol=1e-16)
-    pair, _ = solve(config)
+    config = SolverConfig(L=64, Z=30, seed=0)
+    pair, state = solve(config)
+    print(f"designed pair: stopped ({state.stop_reason}) after {state.iteration} iterations\n")
     sched = ptm_a_schedule(pair, 8)
 
     print("schedule layout (V row / H row):")
