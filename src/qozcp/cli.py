@@ -98,7 +98,7 @@ def write_archive(path: str, pair: SequencePair, config: SolverConfig,
             "max_iter": config.max_iter,
             "tol": config.tol,
             "target": config.target,
-            "seed": pair.meta.get("seed", config.seed),
+            "seed": config.seed,
         },
         "x": _seq_to_json(pair.x),
         "y": _seq_to_json(pair.y),

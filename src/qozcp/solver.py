@@ -13,8 +13,8 @@ A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``floor`` (no step lowers the objective, so the iterate is kept), ``stalled``
 (one step's relative objective change below ``tol``) or ``max_iter``.
 
-Evaluation budget: an evaluation (:func:`_evaluate`) is the two padded
-forward transforms, the correlations and the objective of one iterate, and
+Evaluation budget: an evaluation (:func:`_evaluate`) is the padded forward
+transform of both rows, the correlations and the objective of one iterate, and
 its :class:`Iterate` record feeds the next descent vector.  A step evaluates
 z1, the extrapolated point and its projection, so 3 evaluations, plus 2 per
 backtrack; the current iterate's record comes from the previous step.
@@ -75,10 +75,10 @@ class SolverConfig:
             raise ValueError("zone must satisfy 1 < Z <= L")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.max_iter < 0 or not self.tol >= 0.0:
-            raise ValueError("max_iter and tol must be nonnegative")
-        if self.target is not None and not self.target >= 0.0:
-            raise ValueError("target must be nonnegative")
+        if self.max_iter < 0 or not 0.0 <= self.tol < np.inf:
+            raise ValueError("max_iter must be nonnegative and tol finite and nonnegative")
+        if self.target is not None and not 0.0 <= self.target < np.inf:
+            raise ValueError("target must be finite and nonnegative")
         if self.mode == "unimodular":
             # |z_l| = 1 forces the energy budget to L.
             self.p_e = float(self.L)
@@ -107,14 +107,15 @@ class SolverConfig:
 class Iterate(NamedTuple):
     """Everything one evaluation of a stacked iterate ``z`` produces.
 
-    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the padded
-    transforms (f_x, f_y) that :func:`gram_product` consumes.
+    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the (2, 2L)
+    padded transforms of the rows x and y of ``z.reshape(2, L)``, which
+    :func:`gram_product` consumes.
     """
 
     r: np.ndarray
     c: np.ndarray
     objective: float
-    spectra: tuple
+    spectra: np.ndarray
     z: np.ndarray
 
 
@@ -136,8 +137,7 @@ class SolverState:
 
     @property
     def pair(self) -> SequencePair:
-        L = self.z.size // 2
-        return SequencePair(self.z[:L], self.z[L:])
+        return SequencePair(*self.z.reshape(2, -1))
 
 
 def lambda_j(wp: WeightProfile, L: int) -> float:
@@ -169,11 +169,9 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
 
 def _evaluate(z: np.ndarray, wp: WeightProfile) -> Iterate:
     """Correlations, objective and padded spectra of a stacked iterate."""
-    L = z.size // 2
-    f_x = forward_spectrum(z[:L])
-    f_y = forward_spectrum(z[L:])
-    r, c = correlations_from_spectra(f_x, f_y)
-    return Iterate(r, c, objective_from_correlations(r, c, wp), (f_x, f_y), z)
+    f = forward_spectrum(z.reshape(2, z.size // 2))
+    r, c = correlations_from_spectra(f)
+    return Iterate(r, c, objective_from_correlations(r, c, wp), f, z)
 
 
 def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
@@ -185,7 +183,7 @@ def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
     """
     z = rec.z
     lam_u = lambda_u(rec.r, rec.c, wp)
-    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra)
+    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp.alpha)
     scale = 2.0 * lam_j * float(np.vdot(z, z).real) + lam_u
     return scale * z - qz
 
@@ -235,15 +233,15 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
 
 
 def _project(v: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Mode projection applied independently to the x and y halves."""
-    L = config.L
+    """Mode projection applied independently to the x and y rows of ``v``.
+
+    The unit-modulus projection is element-wise, so it takes the stacked
+    vector in one call.
+    """
     if config.mode == "unimodular":
-        return np.concatenate([proj_unimodular(v[:L]), proj_unimodular(v[L:])])
+        return proj_unimodular(v)
     p_c = config.p_c
-    return np.concatenate([
-        proj_papr(v[:L], config.p_e, p_c),
-        proj_papr(v[L:], config.p_e, p_c),
-    ])
+    return np.concatenate([proj_papr(row, config.p_e, p_c) for row in v.reshape(2, config.L)])
 
 
 def _mm_update(rec: Iterate, config: SolverConfig, lam_j: float) -> np.ndarray:
@@ -353,17 +351,4 @@ def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:
             continue
         break
     state.stop_reason = reason
-
-    pair = state.pair
-    pair.meta = {
-        "seed": config.seed,
-        "mode": config.mode,
-        "L": config.L,
-        "Z": config.Z,
-        "alpha": config.alpha,
-        "p_e": config.p_e,
-        "p_r": config.p_r if config.mode == "papr" else 1.0,
-        "iterations": state.iteration,
-        "final_objective": state.objective_history[-1],
-    }
-    return pair, state
+    return state.pair, state

@@ -71,6 +71,26 @@ def dense_descent(z: np.ndarray, wp: WeightProfile, lam_j: float) -> np.ndarray:
     return scale * z - (Q + Q.conj().T) @ z
 
 
+def gram_product_per_row(mu: np.ndarray, f: np.ndarray, alpha: float) -> np.ndarray:
+    """(Q + Q^H) z with one inverse transform per kernel product: the reference bits.
+
+    Each product is spectrum times kernel on named 1-D arrays, so no operand
+    is a temporary that numpy could reuse in place.
+    """
+    L = f.shape[-1] // 2
+    f_x, f_y = f
+    mu_r_rev = np.roll(mu[0][::-1], 1)
+    nu_c = np.roll(mu[1][::-1], 1)
+    nu_c_conj = np.conj(nu_c)
+
+    def corr(f_v, kernel):
+        return np.fft.ifft(f_v * kernel)[:L]
+
+    top = 2.0 * alpha * corr(f_x, mu_r_rev) + (1.0 - alpha) * corr(f_y, nu_c)
+    bottom = 2.0 * alpha * corr(f_y, mu_r_rev) + (1.0 - alpha) * corr(f_x, nu_c_conj)
+    return np.concatenate([top, bottom])
+
+
 def random_pair(rng: np.random.Generator, L: int):
     x = rng.normal(size=L) + 1j * rng.normal(size=L)
     y = rng.normal(size=L) + 1j * rng.normal(size=L)

@@ -174,7 +174,7 @@ def test_criterion_4_oracle_equivalence():
             z = np.concatenate([x, y])
             r, c = correlations_via_fft(SequencePair(x, y))
             fast = gram_product(weighted_spectra(r, c, wp),
-                                (forward_spectrum(x), forward_spectrum(y)))
+                                forward_spectrum(np.stack([x, y])), wp.alpha)
             Q = dense_q(z, wp)
             err = float(np.max(np.abs(fast - (Q + Q.conj().T) @ z)))
             assert err <= 1e-9

@@ -65,7 +65,6 @@ def test_archive_round_trip_is_lossless(tmp_path):
     assert np.array_equal(loaded.y, pair.y)
     # re-serializing the loaded pair byte-matches the original archive
     path2 = tmp_path / "b.json"
-    loaded.meta = pair.meta
     write_archive(str(path2), loaded, config, metrics={},
                   objective_history=doc["objective_history"])
     assert path.read_bytes() == path2.read_bytes()
@@ -83,6 +82,17 @@ def test_design_restarts_keep_best(tmp_path):
     obj_one = json.loads(single.read_text())["objective_history"][-1]
     obj_many = json.loads(multi.read_text())["objective_history"][-1]
     assert obj_many <= obj_one
+
+
+def test_design_restarts_record_winning_seed(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["design", "--length", "16", "--zone", "8", "--seed", "0",
+                 "--restarts", "3", "--max-iter", "40", "--out", str(out)]) == 0
+    finals = {seed: solve(SolverConfig(L=16, Z=8, seed=seed, max_iter=40))[1]
+              .objective_history[-1] for seed in (0, 1, 2)}
+    winner = min(finals, key=finals.get)
+    assert winner != 0      # a later restart wins, so the base seed would be wrong
+    assert json.loads(out.read_text())["config"]["seed"] == winner
 
 
 def test_design_rejects_papr_flag_in_unimodular_mode(tmp_path):
@@ -279,6 +289,8 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["design", "--length", "16", "--zone", "8", "--tol", "nan", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--target", "-1", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--target", "nan", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--target", "inf", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--tol", "inf", "--out", "{d}/a.json"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
@@ -287,7 +299,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
-        "target-negative", "target-nan",
+        "target-negative", "target-nan", "target-inf", "tol-inf",
         "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, argv):
     assert main([a.format(d=tmp_path) for a in argv]) == 2

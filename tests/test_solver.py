@@ -13,6 +13,7 @@ from qozcp.solver import (
     SolverConfig,
     SolverState,
     _evaluate,
+    _project,
     descent_vector,
     lambda_j,
     lambda_u,
@@ -89,6 +90,21 @@ def test_proj_unimodular_zero_entries():
     out = proj_unimodular(np.array([0.0, 1j]))
     assert out[0] == 1.0
     assert out[1] == pytest.approx(1j)
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "papr"])
+def test_project_stacked_equals_per_half(mode):
+    L = 16
+    config = SolverConfig(L=L, Z=8, mode=mode)
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=2 * L) + 1j * rng.normal(size=2 * L)
+    v[[3, L + 5]] = 0.0
+    if mode == "unimodular":
+        halves = [proj_unimodular(v[:L]), proj_unimodular(v[L:])]
+    else:
+        halves = [proj_papr(v[:L], config.p_e, config.p_c),
+                  proj_papr(v[L:], config.p_e, config.p_c)]
+    assert np.array_equal(_project(v, config), np.concatenate(halves))
 
 
 def test_proj_papr_hand_example():
@@ -226,14 +242,6 @@ def test_solve_reduces_objective_substantially():
     assert state.objective_history[-1] < 1e-6 * state.objective_history[0]
 
 
-def test_solve_meta_populated():
-    config = SolverConfig(L=8, Z=4, seed=11, max_iter=5)
-    pair, state = solve(config)
-    assert pair.meta["seed"] == 11
-    assert pair.meta["iterations"] == state.iteration
-    assert pair.meta["final_objective"] == state.objective_history[-1]
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(L=8, Z=1)
@@ -243,9 +251,11 @@ def test_config_validation():
         SolverConfig(L=8, Z=4, mode="other")
     with pytest.raises(ValueError):
         SolverConfig(L=8, Z=4, p_r=0.5)
-    for target in (-1.0, float("nan")):
+    for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            SolverConfig(L=8, Z=4, target=target)
+            SolverConfig(L=8, Z=4, target=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(L=8, Z=4, tol=bad)
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
 

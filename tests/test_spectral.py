@@ -18,7 +18,7 @@ from qozcp.spectral import (
     weighted_spectra,
 )
 
-from oracles import dense_q, random_pair
+from oracles import dense_q, gram_product_per_row, random_pair
 
 
 @pytest.mark.parametrize("L", [2, 3, 8, 16, 64, 127])
@@ -59,6 +59,22 @@ def test_forward_spectrum_zero_pads():
     f = forward_spectrum(x)
     assert f.size == 6
     assert np.allclose(f, np.fft.fft(np.concatenate([x, np.zeros(3)])))
+    # stacked rows: each row is exactly its own 1-D transform
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    f2 = forward_spectrum(rows)
+    assert f2.shape == (2, 10)
+    for row, f_row in zip(rows, f2):
+        assert np.array_equal(f_row, forward_spectrum(row))
+
+
+def test_forward_spectrum_rejects_non_finite_rows():
+    rows = np.ones((2, 4), dtype=complex)
+    rows[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        forward_spectrum(rows)
+    with pytest.raises(ValueError):
+        forward_spectrum(rows[1])
 
 
 @pytest.mark.parametrize("L", [3, 4, 8])
@@ -70,12 +86,24 @@ def test_gram_product_matches_dense(L, alpha):
         x, y = random_pair(rng, L)
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
-        ws = weighted_spectra(r, c, wp)
-        spectra = (forward_spectrum(x), forward_spectrum(y))
-        fast = gram_product(ws, spectra)
+        mu = weighted_spectra(r, c, wp)
+        fast = gram_product(mu, forward_spectrum(np.stack([x, y])), alpha)
         Q = dense_q(z, wp)
         dense = (Q + Q.conj().T) @ z
         assert np.max(np.abs(fast - dense)) < 1e-9
+
+
+@pytest.mark.parametrize("L", [8, 4096])
+def test_gram_product_bits_match_per_row_oracle(L):
+    # At L = 4096 the stacked kernels form a 256 KiB temporary, the size at
+    # which numpy starts evaluating operators in place in a temporary operand.
+    rng = np.random.default_rng(L)
+    x, y = random_pair(rng, L)
+    wp = WeightProfile.indicator(L, min(256, L), 0.5)
+    r, c = correlations_via_fft(SequencePair(x, y))
+    mu = weighted_spectra(r, c, wp)
+    f = forward_spectrum(np.stack([x, y]))
+    assert np.array_equal(gram_product(mu, f, wp.alpha), gram_product_per_row(mu, f, wp.alpha))
 
 
 def test_gram_product_nonindicator_weights():
@@ -87,9 +115,8 @@ def test_gram_product_nonindicator_weights():
     x, y = random_pair(rng, L)
     z = np.concatenate([x, y])
     r, c = correlations_via_fft(SequencePair(x, y))
-    ws = weighted_spectra(r, c, wp)
-    spectra = (forward_spectrum(x), forward_spectrum(y))
-    fast = gram_product(ws, spectra)
+    mu = weighted_spectra(r, c, wp)
+    fast = gram_product(mu, forward_spectrum(np.stack([x, y])), wp.alpha)
     Q = dense_q(z, wp)
     assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
 
