@@ -69,6 +69,13 @@ class WeightProfile:
     zero lag of an autocorrelation sum is the fixed peak), ``w_tilde[k]``
     weights the cross-correlation lag k.  Both extend to negative lags by
     symmetry.  ``alpha`` mixes the two halves.
+
+    The profile is fixed once built: ``w``, ``w_tilde`` and the arrays of
+    :meth:`symmetric` are read-only copies made at construction.  It also
+    carries the solver's transform plan: ``reach`` is K = max(Z, 1 + the
+    largest lag with a nonzero weight), so every lag the objective or the
+    zone reads has |k| < K, and ``n_fft`` is
+    :func:`qozcp.spectral.transform_length` (L, K).
     """
 
     Z: int
@@ -77,8 +84,8 @@ class WeightProfile:
     alpha: float = 0.5
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.w_tilde = np.asarray(self.w_tilde, dtype=np.float64)
+        self.w = np.array(self.w, dtype=np.float64)
+        self.w_tilde = np.array(self.w_tilde, dtype=np.float64)
         if self.w.ndim != 1 or self.w_tilde.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         if self.w.size != self.w_tilde.size:
@@ -93,6 +100,17 @@ class WeightProfile:
             raise ValueError("alpha must lie in (0, 1)")
         if not 1 < self.Z <= self.w.size:
             raise ValueError("zone width must satisfy 1 < Z <= L")
+        # spectral imports this module, so the helper is imported here.
+        from .spectral import transform_length
+
+        full_w = np.concatenate([self.w[:0:-1], self.w])
+        full_wt = np.concatenate([self.w_tilde[:0:-1], self.w_tilde])
+        for arr in (self.w, self.w_tilde, full_w, full_wt):
+            arr.setflags(write=False)
+        self._symmetric = (full_w, full_wt)
+        weighted = np.flatnonzero((self.w > 0) | (self.w_tilde > 0))
+        self.reach = max(self.Z, int(weighted[-1]) + 1)
+        self.n_fft = transform_length(self.L, self.reach)
 
     @property
     def L(self) -> int:
@@ -108,10 +126,11 @@ class WeightProfile:
         return cls(Z=Z, w=w, w_tilde=wt, alpha=alpha)
 
     def symmetric(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights over lags -(L-1) ... L-1 (even extension)."""
-        full_w = np.concatenate([self.w[:0:-1], self.w])
-        full_wt = np.concatenate([self.w_tilde[:0:-1], self.w_tilde])
-        return full_w, full_wt
+        """Weights over lags -(L-1) ... L-1 (even extension), read-only.
+
+        The same two arrays are returned on every call.
+        """
+        return self._symmetric
 
 
 def cross_correlation(x, y) -> np.ndarray:

@@ -18,6 +18,10 @@ transform of both rows, the correlations and the objective of one iterate, and
 its :class:`Iterate` record feeds the next descent vector.  A step evaluates
 z1, the extrapolated point and its projection, so 3 evaluations, plus 2 per
 backtrack; the current iterate's record comes from the previous step.
+
+Every transform in the loop has the weight profile's length ``n_fft``, which
+is shorter than 2L when the zone is: the objective, the entry bound, the
+kernels and the target stop read only lags inside the zone.
 """
 
 from dataclasses import dataclass, field
@@ -95,6 +99,10 @@ class SolverConfig:
             self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
         if self.weights.L != self.L:
             raise ValueError("weight profile length does not match L")
+        if self.weights.reach < self.Z:
+            # The target stop reads lags |k| < Z, which the profile's
+            # transform length holds without aliasing only up to its reach.
+            raise ValueError("weight profile does not cover the zone |k| < Z")
 
     @property
     def p_c(self) -> float:
@@ -107,9 +115,11 @@ class SolverConfig:
 class Iterate(NamedTuple):
     """Everything one evaluation of a stacked iterate ``z`` produces.
 
-    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the (2, 2L)
+    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the (2, n)
     padded transforms of the rows x and y of ``z.reshape(2, L)``, which
-    :func:`gram_product` consumes.
+    :func:`gram_product` consumes; n is the weight profile's ``n_fft``.
+    ``r`` and ``c`` are exact on the lags |k| <= n - L, which include every
+    weighted and in-zone lag, and zero on the others, which alias.
     """
 
     r: np.ndarray
@@ -158,19 +168,22 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
     """Entry bound 4L * max|Q_ij| from the weighted lag magnitudes.
 
     Q is banded Toeplitz in both blocks, so its largest entry modulus is the
-    largest weighted lag magnitude; the dense matrix is never formed.
+    largest weighted lag magnitude; the dense matrix is never formed.  Only
+    the weighted band |k| < ``wp.reach`` is read.
     """
     L = wp.L
     full_w, full_wt = wp.symmetric()
-    auto_max = wp.alpha * float(np.max(full_w * np.abs(r)))
-    cross_max = (1.0 - wp.alpha) * float(np.max(full_wt * np.abs(c)))
+    band = slice(L - wp.reach, L - 1 + wp.reach)
+    auto_max = wp.alpha * float(np.max(full_w[band] * np.abs(r[band])))
+    cross_max = (1.0 - wp.alpha) * float(np.max(full_wt[band] * np.abs(c[band])))
     return 4.0 * L * max(auto_max, cross_max)
 
 
 def _evaluate(z: np.ndarray, wp: WeightProfile) -> Iterate:
     """Correlations, objective and padded spectra of a stacked iterate."""
-    f = forward_spectrum(z.reshape(2, z.size // 2))
-    r, c = correlations_from_spectra(f)
+    L = z.size // 2
+    f = forward_spectrum(z.reshape(2, L), wp.n_fft)
+    r, c = correlations_from_spectra(f, L)
     return Iterate(r, c, objective_from_correlations(r, c, wp), f, z)
 
 
@@ -183,7 +196,7 @@ def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
     """
     z = rec.z
     lam_u = lambda_u(rec.r, rec.c, wp)
-    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp.alpha)
+    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp.alpha, wp.L)
     scale = 2.0 * lam_j * float(np.vdot(z, z).real) + lam_u
     return scale * z - qz
 

@@ -112,6 +112,32 @@ def test_taylor_coefficients_vanish_to_order_two():
     assert np.max(np.abs(reports[3].lag_vector)) > 1e-6 * scale
 
 
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+def test_doppler_resilience_to_order_m(M):
+    # 2^(M+1) Thue-Morse PRIs null the Doppler orders 0..M (Pezeshki,
+    # Calderbank, Moran and Howard, IEEE T-IT 2008) and no more.
+    N = 2 ** (M + 1)
+    rng = np.random.default_rng(32)
+    z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=64))
+    pair = SequencePair(z[:32], z[32:])
+
+    def tol(sched, row_a, row_b, m):
+        c_max = np.max(np.abs(per_pri_correlations(sched, row_a, row_b)))
+        return float(np.sum(np.arange(N, dtype=np.float64) ** m)) * c_max * 1e-12
+
+    sched = ptm_a_schedule(pair, N)
+    reports = taylor_coefficients(sched, 0, 1, m_max=M + 1)
+    for rep in reports[:M + 1]:
+        assert np.max(np.abs(rep.lag_vector)) <= tol(sched, 0, 1, rep.order)
+    assert np.max(np.abs(reports[M + 1].lag_vector)) > tol(sched, 0, 1, M + 1)
+
+    siso = siso_schedule(pair, N)
+    comp = complementary_sum(pair)
+    for rep in taylor_coefficients(siso, 0, 0, m_max=M):
+        err = np.max(np.abs(rep.lag_vector - rep.beta_m * comp))
+        assert err <= tol(siso, 0, 0, rep.order)
+
+
 def test_taylor_beta_values():
     pair = golay_pair(8)
     sched = siso_schedule(pair, 8)

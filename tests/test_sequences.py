@@ -139,6 +139,47 @@ def test_weight_profile_validation():
         WeightProfile(Z=2, w=[0.0, 0.0], w_tilde=[0.0, 0.0])
 
 
+def test_weight_profile_symmetric_is_built_once_and_read_only():
+    w = np.array([0.0, 2.0, 1.0, 0.0])
+    wp = WeightProfile(Z=2, w=w, w_tilde=[1.0, 0.5, 0.0, 0.0])
+    full_w, full_wt = wp.symmetric()
+    assert all(a is b for a, b in zip(wp.symmetric(), (full_w, full_wt)))
+    assert np.array_equal(full_w, [0, 1, 2, 0, 2, 1, 0])
+    assert np.array_equal(full_wt, [0, 0, 0.5, 1, 0.5, 0, 0])
+    for arr in (full_w, full_wt, wp.w, wp.w_tilde):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the caller's array is copied, not frozen
+    w[1] = 5.0
+    assert wp.w[1] == 2.0
+    # lag 2 carries weight beyond the zone, so the plan covers |k| < 3
+    assert wp.reach == 3
+
+
+def _objective_concatenating_weights(pair, wp):
+    """objective() with the even weight extension rebuilt on every call."""
+    full_w = np.concatenate([wp.w[:0:-1], wp.w])
+    full_wt = np.concatenate([wp.w_tilde[:0:-1], wp.w_tilde])
+    r = complementary_sum(pair)
+    c = cross_correlation(pair.x, pair.y)
+    auto_term = float(np.sum(full_w * np.abs(r) ** 2))
+    cross_term = float(np.sum(full_wt * np.abs(c) ** 2))
+    return wp.alpha * auto_term + (1.0 - wp.alpha) * cross_term
+
+
+def test_objective_bits_with_cached_weights():
+    rng = np.random.default_rng(6)
+    cases = [
+        (SequencePair([1, 1], [1, -1]), WeightProfile(Z=2, w=[0.0, 1.0], w_tilde=[1.0, 1.0])),
+        (SequencePair([1, 0, 0, 0], [0, 1, 0, 0]),
+         WeightProfile(Z=2, w=[0, 0, 0, 0], w_tilde=[1, 0, 0, 0])),
+    ]
+    wp = WeightProfile.indicator(10, 4)
+    cases += [(SequencePair(*random_pair(rng, 10)), wp) for _ in range(20)]
+    for pair, wp in cases:
+        assert objective(pair, wp) == _objective_concatenating_weights(pair, wp)
+
+
 def test_sequence_pair_validation():
     with pytest.raises(ValueError):
         SequencePair([1, 1, 1], [1, 1])

@@ -23,6 +23,8 @@ from qozcp.solver import (
     solve,
 )
 
+from qozcp.spectral import correlations_via_fft
+
 from oracles import (
     dense_descent,
     dense_lifted_form,
@@ -55,8 +57,6 @@ def test_lambda_u_matches_dense_entry_bound():
     for _ in range(10):
         x, y = random_pair(rng, L)
         z = np.concatenate([x, y])
-        from qozcp.spectral import correlations_via_fft
-
         r, c = correlations_via_fft(SequencePair(x, y))
         Q = dense_q(z, wp)
         assert lambda_u(r, c, wp) == pytest.approx(
@@ -74,6 +74,38 @@ def test_descent_vector_matches_dense(L):
         fast = descent_vector(_evaluate(z, wp), wp, lam)
         dense = dense_descent(z, wp, lam)
         assert np.max(np.abs(fast - dense)) < 1e-9 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("L, Z", [(64, 10), (257, 40), (4096, 256)])
+def test_evaluate_short_transform_matches_direct_sums(L, Z):
+    wp = WeightProfile.indicator(L, Z)
+    n = wp.n_fft
+    assert n < 2 * L
+    rng = np.random.default_rng(L)
+    x, y = random_pair(rng, L)
+    rec = _evaluate(np.concatenate([x, y]), wp)
+    assert rec.spectra.shape == (2, n)
+    lags = np.abs(np.arange(-(L - 1), L))
+    exact = lags <= n - L
+    assert np.all(exact[lags < wp.reach])
+    pair = SequencePair(x, y)
+    for got, ref in ((rec.r, complementary_sum(pair)), (rec.c, cross_correlation(x, y))):
+        assert np.max(np.abs(got[exact] - ref[exact])) < 1e-10 * L
+        assert np.all(got[~exact] == 0.0)
+
+
+def test_full_zone_keeps_the_2l_transform_bits():
+    L = 8
+    wp = WeightProfile.indicator(L, L)
+    assert wp.n_fft == 2 * L
+    rng = np.random.default_rng(1)
+    x, y = random_pair(rng, L)
+    rec = _evaluate(np.concatenate([x, y]), wp)
+    r, c = correlations_via_fft(SequencePair(x, y))
+    assert np.array_equal(rec.r, r) and np.array_equal(rec.c, c)
+    # the same trajectory as with 2L transforms throughout
+    _, state = solve(SolverConfig(L=L, Z=L, mode="unimodular", seed=0))
+    assert (state.stop_reason, state.iteration) == ("stalled", 71)
 
 
 def test_proj_unimodular_phase_alignment():
@@ -256,6 +288,9 @@ def test_config_validation():
             SolverConfig(L=8, Z=4, target=bad)
         with pytest.raises(ValueError):
             SolverConfig(L=8, Z=4, tol=bad)
+    with pytest.raises(ValueError):
+        SolverConfig(L=64, Z=30, weights=WeightProfile.indicator(64, 10))
+    assert SolverConfig(L=64, Z=10, weights=WeightProfile.indicator(64, 30)).Z == 10
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
 

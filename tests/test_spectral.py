@@ -15,6 +15,7 @@ from qozcp.spectral import (
     forward_spectrum,
     gram_product,
     lag_to_fft_order,
+    transform_length,
     weighted_spectra,
 )
 
@@ -87,7 +88,7 @@ def test_gram_product_matches_dense(L, alpha):
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
         mu = weighted_spectra(r, c, wp)
-        fast = gram_product(mu, forward_spectrum(np.stack([x, y])), alpha)
+        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), alpha, L)
         Q = dense_q(z, wp)
         dense = (Q + Q.conj().T) @ z
         assert np.max(np.abs(fast - dense)) < 1e-9
@@ -102,23 +103,30 @@ def test_gram_product_bits_match_per_row_oracle(L):
     wp = WeightProfile.indicator(L, min(256, L), 0.5)
     r, c = correlations_via_fft(SequencePair(x, y))
     mu = weighted_spectra(r, c, wp)
-    f = forward_spectrum(np.stack([x, y]))
-    assert np.array_equal(gram_product(mu, f, wp.alpha), gram_product_per_row(mu, f, wp.alpha))
+    f = forward_spectrum(np.stack([x, y]), wp.n_fft)
+    assert np.array_equal(gram_product(mu, f, wp.alpha, L),
+                          gram_product_per_row(mu, f, wp.alpha, L))
 
 
 def test_gram_product_nonindicator_weights():
-    L = 6
+    # The second profile's support (5) is wider than its zone (3) and
+    # shorter than L, so it sets a transform length below 2L.
     rng = np.random.default_rng(42)
-    w = np.concatenate([[0.0], rng.uniform(0.1, 2.0, size=L - 1)])
-    wt = rng.uniform(0.1, 2.0, size=L)
-    wp = WeightProfile(Z=L, w=w, w_tilde=wt, alpha=0.4)
-    x, y = random_pair(rng, L)
-    z = np.concatenate([x, y])
-    r, c = correlations_via_fft(SequencePair(x, y))
-    mu = weighted_spectra(r, c, wp)
-    fast = gram_product(mu, forward_spectrum(np.stack([x, y])), wp.alpha)
-    Q = dense_q(z, wp)
-    assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
+    for L, Z, support in ((6, 6, 6), (12, 3, 5)):
+        w = np.zeros(L)
+        w[1:support] = rng.uniform(0.1, 2.0, size=support - 1)
+        wt = np.zeros(L)
+        wt[:support] = rng.uniform(0.1, 2.0, size=support)
+        wp = WeightProfile(Z=Z, w=w, w_tilde=wt, alpha=0.4)
+        assert wp.reach == support
+        assert (wp.n_fft < 2 * L) == (support < L)
+        x, y = random_pair(rng, L)
+        z = np.concatenate([x, y])
+        r, c = correlations_via_fft(SequencePair(x, y))
+        mu = weighted_spectra(r, c, wp)
+        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp.alpha, L)
+        Q = dense_q(z, wp)
+        assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
 
 
 def test_quadratic_form_reproduces_objective_terms():
@@ -136,3 +144,73 @@ def test_quadratic_form_reproduces_objective_terms():
     ref = wp.alpha * np.sum(full_w * np.abs(r) ** 2)
     ref += (1.0 - wp.alpha) * np.sum(full_wt * np.abs(c) ** 2)
     assert quad == pytest.approx(ref, rel=1e-12)
+
+
+def _smooth_below(limit: int) -> np.ndarray:
+    """below[m] = how many 2^a 3^b numbers are smaller than m, m <= limit."""
+    is_smooth = np.zeros(limit + 1, dtype=np.int64)
+    for a in range(limit.bit_length()):
+        p = 2 ** a
+        while p <= limit:
+            is_smooth[p] = 1
+            p *= 3
+    return np.concatenate([[0], np.cumsum(is_smooth)[:-1]])
+
+
+def _check_transform_length(L: int, ks, below: np.ndarray) -> None:
+    for K in ks:
+        n = transform_length(L, K)
+        need = L + K - 1
+        assert need <= n <= 2 * L
+        if n == 2 * L:
+            # no 2^a 3^b length in [need, 2L - 1) would do
+            assert below[2 * L - 1] == below[need]
+        else:
+            # n is the smallest 2^a 3^b length >= need
+            assert below[n + 1] - below[n] == 1 and below[n] == below[need]
+
+
+def test_transform_length_exhaustive_small():
+    below = _smooth_below(1024)
+    for L in range(1, 513):
+        _check_transform_length(L, range(1, L + 1), below)
+
+
+def test_transform_length_at_every_step_up_to_4096():
+    # For fixed L the answer changes only where L + K - 1 passes a
+    # 2^a 3^b number, so K on both sides of each of those, and the ends,
+    # cover every answer that the other K give.
+    below = _smooth_below(8192)
+    smooth = np.flatnonzero(np.diff(below)).tolist()
+    for L in range(513, 4097):
+        ks = {1, L}
+        for m in smooth:
+            ks.update(K for K in (m - L, m - L + 1, m - L + 2) if 1 <= K <= L)
+        _check_transform_length(L, ks, below)
+
+
+def test_transform_length_values():
+    assert transform_length(4096, 256) == 4374
+    assert transform_length(64, 30) == 96
+    assert transform_length(64, 10) == 81
+    # full zone, and a 2^a 3^b length of exactly 2L - 1: the public 2L
+    assert transform_length(8, 8) == 16
+    assert transform_length(5, 5) == 10
+    for bad in ((8, 0), (8, 9)):
+        with pytest.raises(ValueError):
+            transform_length(*bad)
+
+
+def test_forward_spectrum_length_and_lag_orders_at_n():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=5) + 1j * rng.normal(size=5)
+    assert np.array_equal(forward_spectrum(x, 7), np.fft.fft(x, n=7))
+    # a (2K-1)-lag vector at n points: lag k at index k mod n
+    v = np.arange(1, 8, dtype=complex)          # lags -3 .. 3
+    out = lag_to_fft_order(v, 9)
+    assert np.array_equal(out, [4, 5, 6, 7, 0, 0, 1, 2, 3])
+    # back to L = 5 lag order: lags |k| <= n - L = 4 would be read, but lag 4
+    # sits at index 4, which is zero here
+    assert np.array_equal(fft_to_lag_order(out, 5), [0, 1, 2, 3, 4, 5, 6, 7, 0])
+    # n = 7, L = 5: lags |k| > 2 alias and are zeroed
+    assert np.array_equal(fft_to_lag_order(np.arange(7.0), 5), [0, 0, 5, 6, 0, 1, 2, 0, 0])
