@@ -20,6 +20,7 @@ __all__ = [
     "papr",
     "objective",
     "lag_index",
+    "transform_length",
 ]
 
 
@@ -40,6 +41,28 @@ def lag_index(k: int, L: int) -> int:
     if abs(k) > L - 1:
         raise ValueError(f"lag {k} out of range for length {L}")
     return k + L - 1
+
+
+def transform_length(L: int, K: int) -> int:
+    """Transform length n for the lags |k| < K of length-L sequences.
+
+    The smallest 2^a 3^b >= L + K - 1, at which circular correlations of
+    length-L rows hold every lag |k| < K without aliasing and pocketfft runs
+    fast.  When that is 2L - 1 or more, which a full zone K = L always gives,
+    the answer is the 2L of the public paths, so such runs keep their bits.
+    """
+    if not 1 <= K <= L:
+        raise ValueError("need 1 <= K <= L")
+    need = L + K - 1
+    best = 2 * L
+    p3 = 1
+    while p3 < best:
+        p = p3
+        while p < need:
+            p *= 2
+        best = min(best, p)
+        p3 *= 3
+    return best if best < 2 * L - 1 else 2 * L
 
 
 @dataclass
@@ -74,8 +97,8 @@ class WeightProfile:
     :meth:`symmetric` are read-only copies made at construction.  It also
     carries the solver's transform plan: ``reach`` is K = max(Z, 1 + the
     largest lag with a nonzero weight), so every lag the objective or the
-    zone reads has |k| < K, and ``n_fft`` is
-    :func:`qozcp.spectral.transform_length` (L, K).
+    zone reads has |k| < K; ``band`` selects those lags from a lag-order
+    vector, and ``n_fft`` is :func:`transform_length` (L, K).
     """
 
     Z: int
@@ -100,9 +123,6 @@ class WeightProfile:
             raise ValueError("alpha must lie in (0, 1)")
         if not 1 < self.Z <= self.w.size:
             raise ValueError("zone width must satisfy 1 < Z <= L")
-        # spectral imports this module, so the helper is imported here.
-        from .spectral import transform_length
-
         full_w = np.concatenate([self.w[:0:-1], self.w])
         full_wt = np.concatenate([self.w_tilde[:0:-1], self.w_tilde])
         for arr in (self.w, self.w_tilde, full_w, full_wt):
@@ -110,6 +130,7 @@ class WeightProfile:
         self._symmetric = (full_w, full_wt)
         weighted = np.flatnonzero((self.w > 0) | (self.w_tilde > 0))
         self.reach = max(self.Z, int(weighted[-1]) + 1)
+        self.band = slice(self.L - self.reach, self.L - 1 + self.reach)
         self.n_fft = transform_length(self.L, self.reach)
 
     @property

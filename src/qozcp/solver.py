@@ -24,7 +24,7 @@ is shorter than 2L when the zone is: the objective, the entry bound, the
 kernels and the target stop read only lags inside the zone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -100,9 +100,10 @@ class SolverConfig:
         if self.weights.L != self.L:
             raise ValueError("weight profile length does not match L")
         if self.weights.reach < self.Z:
-            # The target stop reads lags |k| < Z, which the profile's
-            # transform length holds without aliasing only up to its reach.
-            raise ValueError("weight profile does not cover the zone |k| < Z")
+            # The target stop reads lags |k| < Z, which the transforms hold
+            # without aliasing only up to the profile's reach.  Widening the
+            # profile's zone keeps its weights, so the objective is the same.
+            self.weights = replace(self.weights, Z=self.Z)
 
     @property
     def p_c(self) -> float:
@@ -169,11 +170,11 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
 
     Q is banded Toeplitz in both blocks, so its largest entry modulus is the
     largest weighted lag magnitude; the dense matrix is never formed.  Only
-    the weighted band |k| < ``wp.reach`` is read.
+    the weighted band ``wp.band`` (|k| < ``wp.reach``) is read.
     """
     L = wp.L
     full_w, full_wt = wp.symmetric()
-    band = slice(L - wp.reach, L - 1 + wp.reach)
+    band = wp.band
     auto_max = wp.alpha * float(np.max(full_w[band] * np.abs(r[band])))
     cross_max = (1.0 - wp.alpha) * float(np.max(full_wt[band] * np.abs(c[band])))
     return 4.0 * L * max(auto_max, cross_max)

@@ -22,7 +22,7 @@ padding slot L is structurally zero.
 
 import numpy as np
 
-from .sequences import SequencePair, WeightProfile, as_sequence
+from .sequences import SequencePair, WeightProfile, as_sequence, transform_length
 
 __all__ = [
     "transform_length",
@@ -34,28 +34,6 @@ __all__ = [
     "lag_to_fft_order",
     "fft_to_lag_order",
 ]
-
-
-def transform_length(L: int, K: int) -> int:
-    """Transform length n for the lags |k| < K of length-L sequences.
-
-    The smallest 2^a 3^b >= L + K - 1, at which circular correlations of
-    length-L rows hold every lag |k| < K without aliasing and pocketfft runs
-    fast.  When that is 2L - 1 or more, which a full zone K = L always gives,
-    the answer is the 2L of the public paths, so such runs keep their bits.
-    """
-    if not 1 <= K <= L:
-        raise ValueError("need 1 <= K <= L")
-    need = L + K - 1
-    best = 2 * L
-    p3 = 1
-    while p3 < best:
-        p = p3
-        while p < need:
-            p *= 2
-        best = min(best, p)
-        p3 *= 3
-    return best if best < 2 * L - 1 else 2 * L
 
 
 def forward_spectrum(x, n: int | None = None) -> np.ndarray:
@@ -154,10 +132,10 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     ``r`` and ``c`` are lag-order vectors as returned by
     :func:`correlations_from_spectra`; ``mu[0]`` is the spectrum of t_r and
     ``mu[1]`` that of t_c.  The transform length is the profile's
-    ``n_fft``, and only the weighted band |k| < ``wp.reach`` is read.
+    ``n_fft``, and only the weighted band ``wp.band`` (|k| < ``wp.reach``) is read.
     """
     full_w, full_wt = wp.symmetric()
-    band = slice(wp.L - wp.reach, wp.L - 1 + wp.reach)
+    band = wp.band
     return np.fft.fft(lag_to_fft_order(
         np.stack([full_w[band] * r[band], full_wt[band] * c[band]]), wp.n_fft))
 

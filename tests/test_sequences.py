@@ -153,7 +153,7 @@ def test_weight_profile_symmetric_is_built_once_and_read_only():
     w[1] = 5.0
     assert wp.w[1] == 2.0
     # lag 2 carries weight beyond the zone, so the plan covers |k| < 3
-    assert wp.reach == 3
+    assert wp.reach == 3 and wp.band == slice(1, 6)
 
 
 def _objective_concatenating_weights(pair, wp):

@@ -8,6 +8,7 @@ from qozcp.sequences import (
     cross_correlation,
     objective,
     papr,
+    transform_length,
 )
 from qozcp.solver import (
     SolverConfig,
@@ -22,7 +23,6 @@ from qozcp.solver import (
     sdamm_step,
     solve,
 )
-
 from qozcp.spectral import correlations_via_fft
 
 from oracles import (
@@ -288,11 +288,28 @@ def test_config_validation():
             SolverConfig(L=8, Z=4, target=bad)
         with pytest.raises(ValueError):
             SolverConfig(L=8, Z=4, tol=bad)
-    with pytest.raises(ValueError):
-        SolverConfig(L=64, Z=30, weights=WeightProfile.indicator(64, 10))
     assert SolverConfig(L=64, Z=10, weights=WeightProfile.indicator(64, 30)).Z == 10
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
+
+
+def test_profile_narrower_than_zone_is_widened_to_it():
+    # The target stop reads |k| < Z = 30, beyond the profile's own reach of 10.
+    narrow = WeightProfile.indicator(64, 10)
+    config = SolverConfig(L=64, Z=30, mode="unimodular", max_iter=20, target=0.0,
+                          weights=narrow)
+    wp = config.weights
+    assert (narrow.Z, narrow.reach) == (10, 10)
+    assert (wp.Z, wp.reach, wp.n_fft) == (30, 30, transform_length(64, 30))
+    assert all(np.array_equal(a, b) for a, b in zip(wp.symmetric(), narrow.symmetric()))
+    assert wp.alpha == narrow.alpha
+    pair, state = solve(config)
+    lags = np.abs(np.arange(-63, 64))
+    in_zone = lags < 30
+    for got, ref in ((state.record.r, complementary_sum(pair)),
+                     (state.record.c, cross_correlation(pair.x, pair.y))):
+        assert np.max(np.abs(got[in_zone] - ref[in_zone])) < 1e-10 * 64
+    assert state.record.objective == pytest.approx(objective(pair, narrow), rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

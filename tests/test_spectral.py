@@ -96,16 +96,19 @@ def test_gram_product_matches_dense(L, alpha):
 
 @pytest.mark.parametrize("L", [8, 4096])
 def test_gram_product_bits_match_per_row_oracle(L):
-    # At L = 4096 the stacked kernels form a 256 KiB temporary, the size at
-    # which numpy starts evaluating operators in place in a temporary operand.
+    # The full zone at L = 4096 transforms at n = 8192, where the stacked
+    # (2, n) kernels form a 256 KiB temporary, the size at which numpy starts
+    # evaluating operators in place in a temporary operand.  Z = 256 covers
+    # the short n = 4374 as well.
     rng = np.random.default_rng(L)
     x, y = random_pair(rng, L)
-    wp = WeightProfile.indicator(L, min(256, L), 0.5)
     r, c = correlations_via_fft(SequencePair(x, y))
-    mu = weighted_spectra(r, c, wp)
-    f = forward_spectrum(np.stack([x, y]), wp.n_fft)
-    assert np.array_equal(gram_product(mu, f, wp.alpha, L),
-                          gram_product_per_row(mu, f, wp.alpha, L))
+    for Z in sorted({min(256, L), L}):
+        wp = WeightProfile.indicator(L, Z, 0.5)
+        mu = weighted_spectra(r, c, wp)
+        f = forward_spectrum(np.stack([x, y]), wp.n_fft)
+        assert np.array_equal(gram_product(mu, f, wp.alpha, L),
+                              gram_product_per_row(mu, f, wp.alpha, L))
 
 
 def test_gram_product_nonindicator_weights():
