@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import SequencePair, WeightProfile, lag_index
-from .spectral import correlations_via_fft, cross_correlation_fft
+from .spectral import correlations_from_spectra, cross_correlation_fft, forward_spectrum
 from .waveform import TransmitSchedule, materialize, ptm, ptm_a_schedule, prouhet_partition_sums
 
 __all__ = [
@@ -172,14 +172,11 @@ def zone_metrics(pair: SequencePair, wp: WeightProfile,
     surface, with an 8-PRI two-row schedule unless one is given.  The pair
     correlations come from the same FFT path as the solver's objective.
     """
-    L = pair.length
     Z = wp.Z
     if schedule is None:
         schedule = ptm_a_schedule(pair, 8)
 
-    r, c = correlations_via_fft(pair)
-    lags = np.arange(-(L - 1), L)
-    in_zone = np.abs(lags) < Z
+    r, c = correlations_from_spectra(forward_spectrum(np.stack([pair.x, pair.y])), Z)
 
     omega1 = DelayDopplerGrid.zone(Z, OMEGA1_DOPPLER_MAX, OMEGA1_SAMPLES)
     aaf = ambiguity_surface(schedule, 0, 0, omega1).modulus()
@@ -191,8 +188,8 @@ def zone_metrics(pair: SequencePair, wp: WeightProfile,
 
     # Row Z-1 of the zone grid is delay 0 and column 0 is theta = 0.
     return MetricsReport(
-        max_complementary_sidelobe_in_zone=float(np.max(np.abs(r[in_zone & (lags != 0)]))),
-        max_cross_correlation_in_zone=float(np.max(np.abs(c[in_zone]))),
+        max_complementary_sidelobe_in_zone=float(np.max(np.abs(np.delete(r, Z - 1)))),
+        max_cross_correlation_in_zone=float(np.max(np.abs(c))),
         max_aaf_sidelobe_omega1=float(np.max(np.delete(aaf, Z - 1, axis=0))),
         max_caf_omega2=caf_max,
         peak_value=float(aaf[Z - 1, 0]),

@@ -262,7 +262,7 @@ def cmd_compare(args) -> int:
     zones = [z for z in (args.zone, z_a, z_b) if z is not None]
     if not zones:
         raise UsageError("no zone available; pass --zone")
-    if z_a is not None and z_b is not None and z_a != z_b:
+    if args.zone is None and z_a is not None and z_b is not None and z_a != z_b:
         raise UsageError("archives disagree on Z; pass --zone to override")
     Z = zones[0]
     _check_zone(Z, pair_a.length)

@@ -97,8 +97,9 @@ class WeightProfile:
     :meth:`symmetric` are read-only copies made at construction.  It also
     carries the solver's transform plan: ``reach`` is K = max(Z, 1 + the
     largest lag with a nonzero weight), so every lag the objective or the
-    zone reads has |k| < K; ``band`` selects those lags from a lag-order
-    vector, and ``n_fft`` is :func:`transform_length` (L, K).
+    zone reads has |k| < K; ``band`` selects those lags from the 2L - 1
+    lags of :meth:`symmetric` or of a full correlation vector, and
+    ``n_fft`` is :func:`transform_length` (L, K).
     """
 
     Z: int
@@ -115,6 +116,8 @@ class WeightProfile:
             raise ValueError("w and w_tilde must have equal length")
         if self.w[0] != 0.0:
             raise ValueError("w[0] must be zero")
+        if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.w_tilde))):
+            raise ValueError("weights must be finite")
         if np.any(self.w < 0) or np.any(self.w_tilde < 0):
             raise ValueError("weights must be nonnegative")
         if not (np.any(self.w > 0) or np.any(self.w_tilde > 0)):
@@ -213,9 +216,11 @@ def objective(pair: SequencePair, wp: WeightProfile) -> float:
 
 
 def objective_from_correlations(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
-    """Objective evaluated from precomputed lag vectors (same layout as above)."""
+    """Objective from lag vectors of the lags |k| <= h, h >= ``wp.reach`` - 1."""
     full_w, full_wt = wp.symmetric()
+    h = r.size // 2
+    lags = slice(wp.L - 1 - h, wp.L + h)
     # w[0] == 0 removes the k = 0 peak from the complementary half.
-    auto_term = float(np.sum(full_w * np.abs(r) ** 2))
-    cross_term = float(np.sum(full_wt * np.abs(c) ** 2))
+    auto_term = float(np.sum(full_w[lags] * np.abs(r) ** 2))
+    cross_term = float(np.sum(full_wt[lags] * np.abs(c) ** 2))
     return wp.alpha * auto_term + (1.0 - wp.alpha) * cross_term

@@ -19,9 +19,9 @@ its :class:`Iterate` record feeds the next descent vector.  A step evaluates
 z1, the extrapolated point and its projection, so 3 evaluations, plus 2 per
 backtrack; the current iterate's record comes from the previous step.
 
-Every transform in the loop has the weight profile's length ``n_fft``, which
-is shorter than 2L when the zone is: the objective, the entry bound, the
-kernels and the target stop read only lags inside the zone.
+Every transform in the loop has the weight profile's length ``n_fft`` and
+every lag vector holds only the lags |k| < ``reach``: the objective, the
+entry bound, the kernels and the target stop read nothing else.
 """
 
 from dataclasses import dataclass, field, replace
@@ -36,7 +36,6 @@ from .sequences import (
 )
 from .spectral import (
     correlations_from_spectra,
-    correlations_via_fft,
     forward_spectrum,
     gram_product,
     weighted_spectra,
@@ -88,8 +87,8 @@ class SolverConfig:
             self.p_e = float(self.L)
         elif self.p_e is None:
             self.p_e = float(self.L)
-        if self.p_e > self.L:
-            raise ValueError("p_e must not exceed L")
+        if not 0.0 < self.p_e <= self.L:
+            raise ValueError("p_e must lie in (0, L]")
         if self.target is None:
             # 1e-11 of the zero-lag peak 2 p_e of C_x + C_y.
             self.target = 1e-11 * 2.0 * self.p_e
@@ -99,6 +98,8 @@ class SolverConfig:
             self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
         if self.weights.L != self.L:
             raise ValueError("weight profile length does not match L")
+        if self.weights.alpha != self.alpha:
+            raise ValueError("weight profile alpha does not match alpha")
         if self.weights.reach < self.Z:
             # The target stop reads lags |k| < Z, which the transforms hold
             # without aliasing only up to the profile's reach.  Widening the
@@ -116,11 +117,11 @@ class SolverConfig:
 class Iterate(NamedTuple):
     """Everything one evaluation of a stacked iterate ``z`` produces.
 
-    ``r`` and ``c`` are the lag-order correlations and ``spectra`` the (2, n)
-    padded transforms of the rows x and y of ``z.reshape(2, L)``, which
-    :func:`gram_product` consumes; n is the weight profile's ``n_fft``.
-    ``r`` and ``c`` are exact on the lags |k| <= n - L, which include every
-    weighted and in-zone lag, and zero on the others, which alias.
+    ``r`` and ``c`` are the lag-order correlations of the 2K - 1 lags
+    |k| < K, K the weight profile's ``reach``, which include every weighted
+    and in-zone lag.  ``spectra`` are the (2, n) padded transforms of the
+    rows x and y of ``z.reshape(2, L)``, which :func:`gram_product`
+    consumes; n is the profile's ``n_fft``.
     """
 
     r: np.ndarray
@@ -158,10 +159,10 @@ def lambda_j(wp: WeightProfile, L: int) -> float:
     spectrum is exactly {w_|k| * alpha * (2L - 2|k|)} union
     {wt_|k| * (1 - alpha) * (L - |k|)}.
     """
-    k = np.abs(np.arange(-(L - 1), L))
+    k = np.abs(np.arange(1 - wp.reach, wp.reach))
     full_w, full_wt = wp.symmetric()
-    lam_a = full_w * wp.alpha * (2 * L - 2 * k)
-    lam_b = full_wt * (1.0 - wp.alpha) * (L - k)
+    lam_a = full_w[wp.band] * wp.alpha * (2 * L - 2 * k)
+    lam_b = full_wt[wp.band] * (1.0 - wp.alpha) * (L - k)
     return float(max(lam_a.max(), lam_b.max()))
 
 
@@ -169,22 +170,19 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
     """Entry bound 4L * max|Q_ij| from the weighted lag magnitudes.
 
     Q is banded Toeplitz in both blocks, so its largest entry modulus is the
-    largest weighted lag magnitude; the dense matrix is never formed.  Only
-    the weighted band ``wp.band`` (|k| < ``wp.reach``) is read.
+    largest weighted lag magnitude; the dense matrix is never formed.
+    ``r`` and ``c`` hold the lags |k| < ``wp.reach``.
     """
-    L = wp.L
     full_w, full_wt = wp.symmetric()
-    band = wp.band
-    auto_max = wp.alpha * float(np.max(full_w[band] * np.abs(r[band])))
-    cross_max = (1.0 - wp.alpha) * float(np.max(full_wt[band] * np.abs(c[band])))
-    return 4.0 * L * max(auto_max, cross_max)
+    auto_max = wp.alpha * float(np.max(full_w[wp.band] * np.abs(r)))
+    cross_max = (1.0 - wp.alpha) * float(np.max(full_wt[wp.band] * np.abs(c)))
+    return 4.0 * wp.L * max(auto_max, cross_max)
 
 
 def _evaluate(z: np.ndarray, wp: WeightProfile) -> Iterate:
     """Correlations, objective and padded spectra of a stacked iterate."""
-    L = z.size // 2
-    f = forward_spectrum(z.reshape(2, L), wp.n_fft)
-    r, c = correlations_from_spectra(f, L)
+    f = forward_spectrum(z.reshape(2, wp.L), wp.n_fft)
+    r, c = correlations_from_spectra(f, wp.reach)
     return Iterate(r, c, objective_from_correlations(r, c, wp), f, z)
 
 
@@ -343,7 +341,7 @@ def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:
     lam_j = lambda_j(wp, config.L)
     record = _evaluate(_initial_z(config), wp)
     state = SolverState(z=record.z, objective_history=[record.objective], record=record)
-    lags = np.abs(np.arange(-(config.L - 1), config.L))
+    lags = np.abs(np.arange(1 - wp.reach, wp.reach))
     in_zone = lags < config.Z
     sidelobes = in_zone & (lags > 0)
 

@@ -4,10 +4,10 @@ The public correlation paths (:func:`correlations_via_fft`,
 :func:`cross_correlation_fft`) work on zero-padded length-2L transforms, which
 hold every lag without aliasing.  The solver needs only the lags inside its
 weighted zone, |k| < K, and transforms at the shorter length n of
-:func:`transform_length`: a circular correlation of length n >= L + K - 1
-holds every lag |k| <= n - L exactly.  The forward transform is unnormalized,
-the inverse carries the 1/n factor (numpy's convention), which matches the
-explicit scalars in the fast product below.
+:func:`~qozcp.sequences.transform_length`: a circular correlation of length
+n >= L + K - 1 holds every lag |k| <= n - L exactly.  The forward transform
+is unnormalized, the inverse carries the 1/n factor (numpy's convention),
+which matches the explicit scalars in the fast product below.
 
 Every transform and reordering acts on the last axis, so the solver keeps
 the two sequences of a pair as the rows of one array: the padded spectra of
@@ -15,17 +15,16 @@ the two sequences of a pair as the rows of one array: the padded spectra of
 :func:`gram_product` are a (2, n) array ``mu``.  Each stage is then one
 numpy call for both rows.
 
-FFT index order for an n-point lag vector puts lag k at index k mod n; at
-n = 2L it is [v_0, v_1, ..., v_{L-1}, 0, v_{1-L}, ..., v_{-1}], and the
-padding slot L is structurally zero.
+Lag vectors hold the lags |k| < K in increasing order: K = L on the public
+paths and the profile's reach in the solver.  FFT index order puts lag k at
+index k mod n; at n = 2L it is [v_0, ..., v_{L-1}, 0, v_{1-L}, ..., v_{-1}].
 """
 
 import numpy as np
 
-from .sequences import SequencePair, WeightProfile, as_sequence, transform_length
+from .sequences import SequencePair, WeightProfile, as_sequence
 
 __all__ = [
-    "transform_length",
     "forward_spectrum",
     "correlations_via_fft",
     "correlations_from_spectra",
@@ -64,22 +63,17 @@ def lag_to_fft_order(v: np.ndarray, n: int | None = None) -> np.ndarray:
     return out
 
 
-def fft_to_lag_order(v: np.ndarray, L: int | None = None) -> np.ndarray:
-    """Lag vectors (k = -(L-1)..L-1) from n-point circular correlations.
+def fft_to_lag_order(v: np.ndarray, K: int | None = None) -> np.ndarray:
+    """Lag vectors (k = -(K-1)..K-1) read from n-point FFT-order vectors.
 
-    Index m holds lag m and, for m > n - L, lag m - n as well, so only the
-    lags |k| <= n - L are read; the aliased ones are set to zero.  ``L``
+    Lag k is read at index k mod n, so ``n`` must be at least 2K - 1.  ``K``
     defaults to n // 2, which makes this the inverse of
     :func:`lag_to_fft_order` and drops the zero padding slot.
     """
     n = v.shape[-1]
-    if L is None:
-        L = n // 2
-    h = min(n - L, L - 1)                      # largest alias-free lag
-    out = np.zeros(v.shape[:-1] + (2 * L - 1,), dtype=v.dtype)
-    out[..., L - 1 - h:L - 1] = v[..., n - h:]
-    out[..., L - 1:L + h] = v[..., :h + 1]
-    return out
+    if K is None:
+        K = n // 2
+    return np.concatenate([v[..., n - K + 1:], v[..., :K]], axis=-1)
 
 
 def _rev(a: np.ndarray) -> np.ndarray:
@@ -87,14 +81,14 @@ def _rev(a: np.ndarray) -> np.ndarray:
     return np.roll(a[..., ::-1], 1, axis=-1)
 
 
-def _lag_correlation(product: np.ndarray, L: int | None = None) -> np.ndarray:
+def _lag_correlation(product: np.ndarray, K: int | None = None) -> np.ndarray:
     """Lag-order correlations from spectral products conj(F a) . F b (last axis).
 
     ifft(conj(F a) . F b)[m] = sum_l b[l+m] a*[l] = conj(C_ab(m)); the
-    conjugate restores the direct-sum oracle's convention.  ``L`` is as in
+    conjugate restores the direct-sum oracle's convention.  ``K`` is as in
     :func:`fft_to_lag_order`.
     """
-    return fft_to_lag_order(np.conj(np.fft.ifft(product)), L)
+    return fft_to_lag_order(np.conj(np.fft.ifft(product)), K)
 
 
 def cross_correlation_fft(a, b) -> np.ndarray:
@@ -114,30 +108,29 @@ def correlations_via_fft(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
     return correlations_from_spectra(forward_spectrum(np.stack([pair.x, pair.y])), pair.length)
 
 
-def correlations_from_spectra(f: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-order ``(r, c)`` from the (2, n) padded transforms of x and y.
+def correlations_from_spectra(f: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lags |k| < K of ``(r, c)`` from the (2, n) padded transforms of x and y.
 
     Callers that keep the spectra for :func:`gram_product` compute them once
     with :func:`forward_spectrum` and pass them here.  Both correlations come
-    from one inverse transform of the two stacked products.  Lags
-    |k| > n - L alias and are returned as zero; at n = 2L every lag is exact.
+    from one inverse transform of the two stacked products.  For length-L
+    rows they are exact when n >= L + K - 1, as at n = 2L for every K <= L.
     """
     power = np.abs(f) ** 2
-    return tuple(_lag_correlation(np.stack([power[0] + power[1], np.conj(f[0]) * f[1]]), L))
+    return tuple(_lag_correlation(np.stack([power[0] + power[1], np.conj(f[0]) * f[1]]), K))
 
 
 def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndarray:
     """DFTs ``mu`` (2, n) of t_r = w .* r and t_c = wt .* c in FFT order.
 
-    ``r`` and ``c`` are lag-order vectors as returned by
-    :func:`correlations_from_spectra`; ``mu[0]`` is the spectrum of t_r and
-    ``mu[1]`` that of t_c.  The transform length is the profile's
-    ``n_fft``, and only the weighted band ``wp.band`` (|k| < ``wp.reach``) is read.
+    ``r`` and ``c`` hold the lags |k| < ``wp.reach``, as
+    :func:`correlations_from_spectra` returns them for K = ``wp.reach``;
+    ``mu[0]`` is the spectrum of t_r and ``mu[1]`` that of t_c.  The
+    transform length is the profile's ``n_fft``.
     """
     full_w, full_wt = wp.symmetric()
     band = wp.band
-    return np.fft.fft(lag_to_fft_order(
-        np.stack([full_w[band] * r[band], full_wt[band] * c[band]]), wp.n_fft))
+    return np.fft.fft(lag_to_fft_order(np.stack([full_w[band] * r, full_wt[band] * c]), wp.n_fft))
 
 
 def gram_product(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from qozcp.cli import (
     write_archive,
     write_surface_table,
 )
+from qozcp.sequences import cross_correlation
 from qozcp.solver import SolverConfig, solve
 from qozcp.waveform import golay_pair, ptm_a_schedule
 
@@ -201,6 +202,34 @@ def test_compare_golay_vs_designed(tmp_path, capsys):
 def test_compare_requires_zone_source(tmp_path):
     rc = main(["compare", "--pair", "golay:16", "--pair", "golay:16"])
     assert rc == 2
+
+
+def _two_zone_archives(tmp_path):
+    a = _design(tmp_path, "z8.json")
+    b = tmp_path / "z4.json"
+    assert main(["design", "--length", "16", "--zone", "4", "--seed", "3",
+                 "--max-iter", "40", "--out", str(b)]) == 0
+    return a, b
+
+
+def test_compare_archives_with_different_zones_need_zone(tmp_path, capsys):
+    a, b = _two_zone_archives(tmp_path)
+    capsys.readouterr()
+    assert main(["compare", "--pair", str(a), "--pair", str(b)]) == 2
+    assert "archives disagree on Z" in capsys.readouterr().err
+
+
+def test_compare_zone_overrides_archives_with_different_zones(tmp_path, capsys):
+    a, b = _two_zone_archives(tmp_path)
+    capsys.readouterr()
+    assert main(["compare", "--pair", str(a), "--pair", str(b), "--zone", "6"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.startswith("max cross-correlation (|k|<Z)")
+    # both columns are read inside the --zone, not either archive's zone
+    for col, path in zip(row.split()[-2:], (a, b)):
+        pair, _ = read_archive(str(path))
+        c = cross_correlation(pair.x, pair.y)
+        assert float(col) == pytest.approx(float(np.max(np.abs(c[16 - 6:15 + 6]))), rel=1e-5)
 
 
 def test_compare_length_mismatch(tmp_path):

@@ -8,6 +8,7 @@ from qozcp.sequences import (
     complementary_sum,
     cross_correlation,
     objective,
+    objective_from_correlations,
     papr,
     reverse_conjugate,
 )
@@ -137,6 +138,11 @@ def test_weight_profile_validation():
         WeightProfile(Z=2, w=[0.0, -1.0], w_tilde=[1.0, 1.0])
     with pytest.raises(ValueError):
         WeightProfile(Z=2, w=[0.0, 0.0], w_tilde=[0.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WeightProfile(Z=2, w=[0.0, 1.0, bad], w_tilde=[1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            WeightProfile(Z=2, w=[0.0, 1.0, 0.0], w_tilde=[1.0, bad, 0.0])
 
 
 def test_weight_profile_symmetric_is_built_once_and_read_only():
@@ -178,6 +184,28 @@ def test_objective_bits_with_cached_weights():
     cases += [(SequencePair(*random_pair(rng, 10)), wp) for _ in range(20)]
     for pair, wp in cases:
         assert objective(pair, wp) == _objective_concatenating_weights(pair, wp)
+
+
+def test_objective_from_band_matches_full_vectors():
+    # The band |k| < reach holds every weighted lag; only the summation order
+    # differs from the full 2L - 1 vectors, and not at all for a full zone.
+    rng = np.random.default_rng(9)
+    wide = np.zeros(20)
+    wide[1:7] = rng.uniform(0.1, 2.0, size=6)
+    profiles = [WeightProfile.indicator(L, Z, 0.3) for L, Z in ((10, 4), (64, 10), (257, 40))]
+    profiles += [WeightProfile(Z=3, w=wide, w_tilde=np.roll(wide, -1), alpha=0.6)]
+    full_zone = [WeightProfile.indicator(L, L) for L in (5, 32)]
+    for wp in profiles + full_zone:
+        for _ in range(5):
+            pair = SequencePair(*random_pair(rng, wp.L))
+            r = complementary_sum(pair)
+            c = cross_correlation(pair.x, pair.y)
+            full = objective_from_correlations(r, c, wp)
+            band = objective_from_correlations(r[wp.band], c[wp.band], wp)
+            if wp.reach == wp.L:
+                assert band == full
+            else:
+                assert band == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
 def test_sequence_pair_validation():

@@ -59,7 +59,7 @@ def test_lambda_u_matches_dense_entry_bound():
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
         Q = dense_q(z, wp)
-        assert lambda_u(r, c, wp) == pytest.approx(
+        assert lambda_u(r[wp.band], c[wp.band], wp) == pytest.approx(
             4.0 * L * float(np.max(np.abs(Q))), rel=1e-12)
 
 
@@ -85,13 +85,11 @@ def test_evaluate_short_transform_matches_direct_sums(L, Z):
     x, y = random_pair(rng, L)
     rec = _evaluate(np.concatenate([x, y]), wp)
     assert rec.spectra.shape == (2, n)
-    lags = np.abs(np.arange(-(L - 1), L))
-    exact = lags <= n - L
-    assert np.all(exact[lags < wp.reach])
+    assert n >= L + wp.reach - 1
+    assert rec.r.shape == rec.c.shape == (2 * wp.reach - 1,)
     pair = SequencePair(x, y)
     for got, ref in ((rec.r, complementary_sum(pair)), (rec.c, cross_correlation(x, y))):
-        assert np.max(np.abs(got[exact] - ref[exact])) < 1e-10 * L
-        assert np.all(got[~exact] == 0.0)
+        assert np.max(np.abs(got - ref[wp.band])) < 1e-10 * L
 
 
 def test_full_zone_keeps_the_2l_transform_bits():
@@ -288,6 +286,13 @@ def test_config_validation():
             SolverConfig(L=8, Z=4, target=bad)
         with pytest.raises(ValueError):
             SolverConfig(L=8, Z=4, tol=bad)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p_e"):
+            SolverConfig(L=8, Z=4, p_e=bad)
+    with pytest.raises(ValueError, match="alpha"):
+        SolverConfig(L=8, Z=4, weights=WeightProfile.indicator(8, 4, alpha=0.3))
+    assert SolverConfig(L=8, Z=4, alpha=0.3,
+                        weights=WeightProfile.indicator(8, 4, alpha=0.3)).weights.alpha == 0.3
     assert SolverConfig(L=64, Z=10, weights=WeightProfile.indicator(64, 30)).Z == 10
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
@@ -304,11 +309,10 @@ def test_profile_narrower_than_zone_is_widened_to_it():
     assert all(np.array_equal(a, b) for a, b in zip(wp.symmetric(), narrow.symmetric()))
     assert wp.alpha == narrow.alpha
     pair, state = solve(config)
-    lags = np.abs(np.arange(-63, 64))
-    in_zone = lags < 30
+    assert wp.band == slice(64 - 30, 63 + 30)
     for got, ref in ((state.record.r, complementary_sum(pair)),
                      (state.record.c, cross_correlation(pair.x, pair.y))):
-        assert np.max(np.abs(got[in_zone] - ref[in_zone])) < 1e-10 * 64
+        assert np.max(np.abs(got - ref[wp.band])) < 1e-10 * 64
     assert state.record.objective == pytest.approx(objective(pair, narrow), rel=1e-9)
 
 

@@ -7,6 +7,7 @@ from qozcp.sequences import (
     auto_correlation,
     cross_correlation,
     lag_index,
+    transform_length,
 )
 from qozcp.spectral import (
     correlations_via_fft,
@@ -15,7 +16,6 @@ from qozcp.spectral import (
     forward_spectrum,
     gram_product,
     lag_to_fft_order,
-    transform_length,
     weighted_spectra,
 )
 
@@ -87,7 +87,7 @@ def test_gram_product_matches_dense(L, alpha):
         x, y = random_pair(rng, L)
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
-        mu = weighted_spectra(r, c, wp)
+        mu = weighted_spectra(r[wp.band], c[wp.band], wp)
         fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), alpha, L)
         Q = dense_q(z, wp)
         dense = (Q + Q.conj().T) @ z
@@ -105,7 +105,7 @@ def test_gram_product_bits_match_per_row_oracle(L):
     r, c = correlations_via_fft(SequencePair(x, y))
     for Z in sorted({min(256, L), L}):
         wp = WeightProfile.indicator(L, Z, 0.5)
-        mu = weighted_spectra(r, c, wp)
+        mu = weighted_spectra(r[wp.band], c[wp.band], wp)
         f = forward_spectrum(np.stack([x, y]), wp.n_fft)
         assert np.array_equal(gram_product(mu, f, wp.alpha, L),
                               gram_product_per_row(mu, f, wp.alpha, L))
@@ -126,7 +126,7 @@ def test_gram_product_nonindicator_weights():
         x, y = random_pair(rng, L)
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
-        mu = weighted_spectra(r, c, wp)
+        mu = weighted_spectra(r[wp.band], c[wp.band], wp)
         fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp.alpha, L)
         Q = dense_q(z, wp)
         assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
@@ -212,8 +212,17 @@ def test_forward_spectrum_length_and_lag_orders_at_n():
     v = np.arange(1, 8, dtype=complex)          # lags -3 .. 3
     out = lag_to_fft_order(v, 9)
     assert np.array_equal(out, [4, 5, 6, 7, 0, 0, 1, 2, 3])
-    # back to L = 5 lag order: lags |k| <= n - L = 4 would be read, but lag 4
-    # sits at index 4, which is zero here
-    assert np.array_equal(fft_to_lag_order(out, 5), [0, 1, 2, 3, 4, 5, 6, 7, 0])
-    # n = 7, L = 5: lags |k| > 2 alias and are zeroed
-    assert np.array_equal(fft_to_lag_order(np.arange(7.0), 5), [0, 0, 5, 6, 0, 1, 2, 0, 0])
+    # back to lag order: the lags |k| < K, and nothing else, are read
+    assert np.array_equal(fft_to_lag_order(out, 4), v)
+    assert np.array_equal(fft_to_lag_order(np.arange(7.0), 3), [5, 6, 0, 1, 2])
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 30])
+def test_fft_to_lag_order_round_trips_at_n_points(K):
+    rng = np.random.default_rng(K)
+    for n in sorted({2 * K - 1, 2 * K, 2 * K + 1, transform_length(64, K), 3 * K + 7}):
+        v = rng.normal(size=(2, 2 * K - 1)) + 1j * rng.normal(size=(2, 2 * K - 1))
+        u = lag_to_fft_order(v, n)
+        assert u.shape == (2, n)
+        assert np.array_equal(fft_to_lag_order(u, K), v)
+        assert np.array_equal(fft_to_lag_order(u[1], K), v[1])
