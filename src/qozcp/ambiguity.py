@@ -186,7 +186,7 @@ def zone_metrics(pair: SequencePair, wp: WeightProfile,
     else:
         caf_max = 0.0
 
-    # Row Z-1 of the zone grid is delay 0 and column 0 is theta = 0.
+    # Index Z-1 of r and row Z-1 of the zone grid are delay 0; column 0 is theta = 0.
     return MetricsReport(
         max_complementary_sidelobe_in_zone=float(np.max(np.abs(np.delete(r, Z - 1)))),
         max_cross_correlation_in_zone=float(np.max(np.abs(c))),

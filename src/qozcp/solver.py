@@ -101,8 +101,8 @@ class SolverConfig:
         if self.weights.alpha != self.alpha:
             raise ValueError("weight profile alpha does not match alpha")
         if self.weights.reach < self.Z:
-            # The target stop reads lags |k| < Z, which the transforms hold
-            # without aliasing only up to the profile's reach.  Widening the
+            # The target stop reads lags |k| < Z, and the lag vectors hold
+            # only the lags below the profile's reach.  Widening the
             # profile's zone keeps its weights, so the objective is the same.
             self.weights = replace(self.weights, Z=self.Z)
 
