@@ -197,13 +197,14 @@ def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
     lam_u = lambda_u(rec.r, rec.c, wp)
     qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp.alpha, wp.L)
     scale = 2.0 * lam_j * float(np.vdot(z, z).real) + lam_u
-    return scale * z - qz
+    return np.subtract(scale * z, qz, out=qz)
 
 
 def proj_unimodular(v: np.ndarray) -> np.ndarray:
     """Entry-wise unit-modulus maximizer of Re{x^H v}; zeros map to 1."""
     v = np.asarray(v, dtype=np.complex128)
-    out = np.exp(1j * np.angle(v))
+    out = np.multiply(1j, np.angle(v))
+    np.exp(out, out=out)
     out[v == 0] = 1.0
     return out
 
@@ -285,12 +286,14 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     rec1 = _evaluate(z1, wp)
     z2 = _mm_update(rec1, config, lam_j)
     v1 = z1 - z_t
-    v2 = z2 - z1 - v1
+    v2 = z2 - z1
+    v2 -= v1
     norm_v2 = float(np.linalg.norm(v2))
     backtracks = 0
 
     def accelerated(a: float) -> Iterate:
-        z_a = z_t - 2.0 * a * v1 + a ** 2 * v2
+        z_a = z_t - 2.0 * a * v1
+        z_a += a ** 2 * v2
         return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j), wp)
 
     if norm_v2 == 0.0:

@@ -15,10 +15,20 @@ the two sequences of a pair as the rows of one array: the padded spectra of
 :func:`gram_product` are a (2, n) array ``mu``.  Each stage is then one
 numpy call for both rows.
 
+The (2, n) and (4, n) intermediates of the correlation and product stages
+live in scratch arrays kept per thread between calls (:func:`_scratch`): a
+loop that calls them at one length allocates none of them after its first
+call, so the process heap does not grow and shrink by their size on every
+solver step (which cost hundreds of page faults per step at L = 4096).  The
+arrays of the last length used stay allocated; nothing these functions
+return is a view of one.
+
 Lag vectors hold the lags |k| < K in increasing order: K = L on the public
 paths and the profile's reach in the solver.  FFT index order puts lag k at
 index k mod n; at n = 2L it is [v_0, ..., v_{L-1}, 0, v_{1-L}, ..., v_{-1}].
 """
+
+import threading
 
 import numpy as np
 
@@ -33,6 +43,33 @@ __all__ = [
     "lag_to_fft_order",
     "fft_to_lag_order",
 ]
+
+
+_SCRATCH = threading.local()
+# numpy 2.0 gave the transforms an ``out`` argument; before it they write a
+# new array, which _in_place copies back.
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+def _scratch(role: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """Uninitialized array for one intermediate, reused while its shape holds.
+
+    Each ``role`` keeps one array per thread; a call with another shape
+    replaces it.
+    """
+    buf = getattr(_SCRATCH, role, None)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = np.empty(shape, dtype=dtype)
+        setattr(_SCRATCH, role, buf)
+    return buf
+
+
+def _in_place(transform, a: np.ndarray) -> np.ndarray:
+    """``transform(a)`` along the last axis (np.fft.fft or ifft), written over ``a``."""
+    if _FFT_OUT:
+        return transform(a, out=a)
+    a[...] = transform(a)
+    return a
 
 
 def forward_spectrum(x, n: int | None = None) -> np.ndarray:
@@ -76,9 +113,11 @@ def fft_to_lag_order(v: np.ndarray, K: int | None = None) -> np.ndarray:
     return np.concatenate([v[..., n - K + 1:], v[..., :K]], axis=-1)
 
 
-def _rev(a: np.ndarray) -> np.ndarray:
-    """Circular index reversal along the last axis, rev(a)[j] = a[-j mod n]."""
-    return np.roll(a[..., ::-1], 1, axis=-1)
+def _rev(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Circular index reversal along the last axis, out[j] = a[-j mod n]."""
+    out[..., :1] = a[..., :1]
+    out[..., 1:] = a[..., :0:-1]
+    return out
 
 
 def _lag_correlation(product: np.ndarray, K: int | None = None) -> np.ndarray:
@@ -86,9 +125,10 @@ def _lag_correlation(product: np.ndarray, K: int | None = None) -> np.ndarray:
 
     ifft(conj(F a) . F b)[m] = sum_l b[l+m] a*[l] = conj(C_ab(m)); the
     conjugate restores the direct-sum oracle's convention.  ``K`` is as in
-    :func:`fft_to_lag_order`.
+    :func:`fft_to_lag_order`.  ``product`` is transformed in place.
     """
-    return fft_to_lag_order(np.conj(np.fft.ifft(product)), K)
+    _in_place(np.fft.ifft, product)
+    return fft_to_lag_order(np.conjugate(product, out=product), K)
 
 
 def cross_correlation_fft(a, b) -> np.ndarray:
@@ -96,7 +136,10 @@ def cross_correlation_fft(a, b) -> np.ndarray:
 
     Same lag-order layout and convention as the direct-sum oracle.
     """
-    return _lag_correlation(np.conj(forward_spectrum(a)) * forward_spectrum(b))
+    fa = forward_spectrum(a)
+    product = _scratch("products", fa.shape)
+    np.conjugate(fa, out=product)
+    return _lag_correlation(np.multiply(product, forward_spectrum(b), out=product))
 
 
 def correlations_via_fft(pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
@@ -116,8 +159,12 @@ def correlations_from_spectra(f: np.ndarray, K: int) -> tuple[np.ndarray, np.nda
     from one inverse transform of the two stacked products.  For length-L
     rows they are exact when n >= L + K - 1, as at n = 2L for every K <= L.
     """
-    power = np.abs(f) ** 2
-    return tuple(_lag_correlation(np.stack([power[0] + power[1], np.conj(f[0]) * f[1]]), K))
+    power = _scratch("power", f.shape, np.float64)
+    np.square(np.abs(f, out=power), out=power)
+    product = _scratch("products", f.shape)
+    np.add(power[0], power[1], out=product[0])
+    np.multiply(np.conjugate(f[0], out=product[1]), f[1], out=product[1])
+    return tuple(_lag_correlation(product, K))
 
 
 def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndarray:
@@ -130,7 +177,8 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     """
     full_w, full_wt = wp.symmetric()
     band = wp.band
-    return np.fft.fft(lag_to_fft_order(np.stack([full_w[band] * r, full_wt[band] * c]), wp.n_fft))
+    mu = lag_to_fft_order(np.stack([full_w[band] * r, full_wt[band] * c]), wp.n_fft)
+    return _in_place(np.fft.fft, mu)
 
 
 def gram_product(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndarray:
@@ -145,15 +193,19 @@ def gram_product(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndar
     transform.  The test-only dense construction of Q pins every sign and
     conjugation.
     """
+    # Rows: (x, mu_r_rev), (y, mu_r_rev), (y, nu_c), (x, conj(nu_c)), where
+    # (mu_r_rev, nu_c) = rev(mu).  The kernels are built in the scratch rows
+    # and multiplied by the spectra in place.  f stays the left operand of
+    # every product: kernel * f can round differently from f * kernel.
+    kernels = _scratch("kernels", (4, f.shape[-1]))
+    _rev(mu, out=kernels[1:3])
+    kernels[0] = kernels[1]
+    np.conjugate(kernels[2], out=kernels[3])
+    np.multiply(f, kernels[:2], out=kernels[:2])
+    np.multiply(f[::-1], kernels[2:], out=kernels[2:])
+    corr = _in_place(np.fft.ifft, kernels)[:, :L]
     # Diagonal blocks of Q and Q^H coincide, hence the factor 2 on the
     # autocorrelation kernel.
-    mu_r_rev, nu_c = _rev(mu)
-    # Rows: (x, mu_r_rev), (y, mu_r_rev), (y, nu_c), (x, conj(nu_c)).  The
-    # ufunc call keeps the operand order: for a large temporary right operand
-    # the `*` operator may compute kernel * f in place, which rounds
-    # differently from f * kernel.
-    corr = np.fft.ifft(np.concatenate([
-        f * mu_r_rev,
-        np.multiply(f[::-1], np.stack([nu_c, np.conj(nu_c)])),
-    ]))[:, :L]
-    return (2.0 * alpha * corr[:2] + (1.0 - alpha) * corr[2:]).ravel()
+    np.multiply(2.0 * alpha, corr[:2], out=corr[:2])
+    np.multiply(1.0 - alpha, corr[2:], out=corr[2:])
+    return np.add(corr[:2], corr[2:]).ravel()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qozcp import spectral
 from qozcp.sequences import (
     SequencePair,
     WeightProfile,
@@ -10,6 +11,7 @@ from qozcp.sequences import (
     transform_length,
 )
 from qozcp.spectral import (
+    correlations_from_spectra,
     correlations_via_fft,
     cross_correlation_fft,
     fft_to_lag_order,
@@ -226,3 +228,42 @@ def test_fft_to_lag_order_round_trips_at_n_points(K):
         assert u.shape == (2, n)
         assert np.array_equal(fft_to_lag_order(u, K), v)
         assert np.array_equal(fft_to_lag_order(u[1], K), v[1])
+
+
+def test_results_survive_later_calls_at_the_same_length():
+    # The correlation and product stages reuse scratch arrays between calls
+    # at one transform length; nothing they return may be a view of one.
+    rng = np.random.default_rng(11)
+    L = 64
+    wp = WeightProfile.indicator(L, 20)
+    results = []
+    for _ in range(2):
+        x, y = random_pair(rng, L)
+        f = forward_spectrum(np.stack([x, y]), wp.n_fft)
+        r, c = correlations_from_spectra(f, wp.reach)
+        q = gram_product(weighted_spectra(r, c, wp), f, wp.alpha, L)
+        out = (r, c, q, cross_correlation_fft(x, y), *correlations_via_fft(SequencePair(x, y)))
+        results.append((out, [a.copy() for a in out]))
+    for out, kept in results:
+        for a, b in zip(out, kept):
+            assert np.array_equal(a, b)
+
+
+def test_transforms_without_out_keep_the_bits(monkeypatch):
+    # numpy < 2 has no ``out=`` on its transforms; the stages then copy each
+    # transform back into its scratch array, with the same results.
+    rng = np.random.default_rng(12)
+    L = 64
+    wp = WeightProfile.indicator(L, 20)
+    x, y = random_pair(rng, L)
+
+    def outputs():
+        f = forward_spectrum(np.stack([x, y]), wp.n_fft)
+        r, c = correlations_from_spectra(f, wp.reach)
+        q = gram_product(weighted_spectra(r, c, wp), f, wp.alpha, L)
+        return r, c, q, cross_correlation_fft(x, y)
+
+    ref = outputs()
+    monkeypatch.setattr(spectral, "_FFT_OUT", False)
+    for a, b in zip(outputs(), ref):
+        assert np.array_equal(a, b)
