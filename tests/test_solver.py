@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from qozcp.solver import (
     SolverConfig,
     SolverState,
     _evaluate,
+    _phase_update,
     _project,
     descent_vector,
     lambda_j,
@@ -48,6 +52,13 @@ def test_lambda_j_partial_zone():
     J = dense_lifted_form(wp)
     eig_max = float(np.linalg.eigvalsh(J).max())
     assert lambda_j(wp, 4) == pytest.approx(eig_max, rel=1e-8)
+
+
+def test_lambda_j_rejects_another_length():
+    wp = WeightProfile.indicator(8, 4)
+    assert lambda_j(wp, 8) == 7.0
+    with pytest.raises(ValueError, match="L = 16"):
+        lambda_j(wp, 16)
 
 
 def test_lambda_u_matches_dense_entry_bound():
@@ -135,6 +146,58 @@ def test_project_stacked_equals_per_half(mode):
         halves = [proj_papr(v[:L], config.p_e, config.p_c),
                   proj_papr(v[L:], config.p_e, config.p_c)]
     assert np.array_equal(_project(v, config), np.concatenate(halves))
+
+
+def _phase_increment_reference(z, s, q):
+    """z (e^{i delta} - 1), delta = arg(s - q conj(z)), per entry in the hypot form."""
+    out = []
+    for zl, ql in zip(z.tolist(), q.tolist()):
+        g = ql * zl.conjugate()
+        a, b = s - g.real, -g.imag
+        rho = math.hypot(a, b)
+        # a - rho = -b^2 / (a + rho) for a > 0, free of cancellation
+        out.append(zl * complex(-b * b / (rho * (a + rho)), b / rho))
+    return np.array(out)
+
+
+def test_phase_update_increment_is_exact_where_differences_round():
+    rng = np.random.default_rng(11)
+    L, s = 256, 6.7e7
+    z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, L))
+    q = rng.normal(size=L) + 1j * rng.normal(size=L)
+    q *= 1e-12 * s / np.max(np.abs(q))
+    ref = _phase_increment_reference(z, s, q)
+    z_new, step = _phase_update(z, s, q.copy())
+
+    def rel(d):
+        return np.linalg.norm(d - ref) / np.linalg.norm(ref)
+
+    assert rel(step) <= 1e-12
+    # The difference of the rounded iterates is off in the fourth digit.
+    assert rel(z_new - z) > 1e-4
+    assert rel(proj_unimodular(s * z - q) - z) > 1e-4
+    # The new iterate is still the projection, to round-off.
+    assert np.max(np.abs(z_new - proj_unimodular(s * z - q))) < 1e-15
+    assert np.max(np.abs(np.abs(z_new) - 1.0)) < 1e-15
+
+
+def test_phase_update_turned_back_and_zero_entries():
+    s = 10.0
+    z = np.array([1.0, 1j, np.exp(0.3j), 0.0, 0.0, 2.0 - 1j, 0.5j])
+    q = np.array([3.0 * s, 2.0 * s * 1j, s * np.exp(0.3j) * (1.5 + 1e-9j),
+                  2.0 - 1j, 0.0, 1.0, 4.0 * s])
+    v = s * z - q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z_new, step = _phase_update(z, s, q.copy())
+    assert np.all(np.isfinite(z_new)) and np.all(np.isfinite(step))
+    assert np.max(np.abs(np.abs(z_new) - 1.0)) < 1e-15
+    # Entries with s |z| - Re(q conj(u)) <= 0 turn by about pi; zero entries
+    # take the phase of -q, or 1 where q is 0 too, as proj_unimodular does.
+    assert np.max(np.abs(z_new - proj_unimodular(v))) < 1e-12
+    u = proj_unimodular(z)
+    assert np.max(np.abs(z_new - (u + step))) < 1e-15
+    assert z_new[4] == 1.0 and step[4] == 0.0
 
 
 def test_proj_papr_hand_example():
@@ -295,6 +358,10 @@ def test_config_validation():
                         weights=WeightProfile.indicator(8, 4, alpha=0.3)).weights.alpha == 0.3
     assert SolverConfig(L=64, Z=10, weights=WeightProfile.indicator(64, 30)).Z == 10
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
+    assert SolverConfig(L=8, Z=4, mode="unimodular", p_e=8).p_e == 8.0
+    for bad in (float("nan"), -3.0, 4.0, float("inf")):
+        with pytest.raises(ValueError, match="unimodular"):
+            SolverConfig(L=8, Z=4, mode="unimodular", p_e=bad)
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
 
 
@@ -338,6 +405,39 @@ def test_solve_stops_at_zone_target():
     lags = np.abs(np.arange(-63, 64))
     assert np.max(np.abs(r[(lags < 30) & (lags > 0)])) <= config.target
     assert np.max(np.abs(c[lags < 30])) <= config.target
+
+
+@pytest.mark.parametrize("L, Z, seed, steps", [
+    (64, 30, 0, 461), (64, 30, 1, 169), (64, 30, 2, 136), (256, 100, 1, 191),
+])
+def test_papr_trajectories_are_pinned(L, Z, seed, steps):
+    # PAPR increments are the differences of the iterates; these counts
+    # change only with the arithmetic of the PAPR trajectory.
+    _, state = solve(SolverConfig(L=L, Z=Z, seed=seed))
+    assert (state.stop_reason, state.iteration) == ("target", steps)
+
+
+def test_unimodular_solve_reaches_target(monkeypatch):
+    import qozcp.solver as solver
+
+    L, Z = 512, 100
+    config = SolverConfig(L=L, Z=Z, mode="unimodular", seed=0)
+    step = solver.sdamm_step
+    worst = []
+
+    def checked(state, *args, **kwargs):
+        state = step(state, *args, **kwargs)
+        worst.append(float(np.max(np.abs(np.abs(state.z) - 1.0))))
+        return state
+
+    monkeypatch.setattr(solver, "sdamm_step", checked)
+    pair, state = solve(config)
+    assert (state.stop_reason, state.iteration) == ("target", 131)
+    assert len(worst) == state.iteration and max(worst) <= 1e-12
+    assert np.all(np.diff(state.objective_history) <= 0)
+    lags = np.abs(np.arange(1 - L, L))
+    assert np.max(np.abs(complementary_sum(pair)[(lags < Z) & (lags > 0)])) <= config.target
+    assert np.max(np.abs(cross_correlation(pair.x, pair.y)[lags < Z])) <= config.target
 
 
 @pytest.mark.parametrize("kwargs, reason", [
