@@ -96,7 +96,7 @@ class SolverConfig:
         if self.mode == "unimodular" and self.p_e not in (None, self.L):
             raise ValueError("p_e must be L in unimodular mode")
         if self.p_e is None or self.mode == "unimodular":
-            # |z_l| = 1 forces the energy budget to L in unimodular mode.
+            # The default budget; |z_l| = 1 forces it in unimodular mode.
             self.p_e = float(self.L)
         if not 0.0 < self.p_e <= self.L:
             raise ValueError("p_e must lie in (0, L]")
