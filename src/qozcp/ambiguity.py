@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequencePair, WeightProfile, lag_index
+from .sequences import SequencePair, WeightProfile
 from .spectral import correlations_from_spectra, cross_correlation_fft, forward_spectrum
 from .waveform import TransmitSchedule, materialize, ptm, ptm_a_schedule, prouhet_partition_sums
 
@@ -119,7 +119,7 @@ def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
     L = schedule.pair.length
     if np.any(np.abs(grid.delays) > L - 1):
         raise ValueError("grid delay exceeds L-1")
-    rows = np.array([lag_index(int(k), L) for k in grid.delays])
+    rows = grid.delays + (L - 1)
     # Only the grid's lags are kept, and the phases are exponentiated in
     # place, so the N x (2L-1) stack and a second N x D array never coexist.
     corr = _per_pri_correlations(schedule, row_a, row_b)[:, rows]

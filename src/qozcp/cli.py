@@ -94,7 +94,7 @@ def write_archive(path: str, pair: SequencePair, config: SolverConfig,
         "config": {
             "alpha": config.alpha,
             "p_e": config.p_e,
-            "p_r": config.p_r if config.mode == "papr" else 1.0,
+            "p_r": config.p_r,
             "max_iter": config.max_iter,
             "tol": config.tol,
             "target": config.target,

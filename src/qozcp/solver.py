@@ -3,21 +3,23 @@
 Each iteration majorizes the quartic sidelobe objective twice (first with the
 largest eigenvalue of the lifted quadratic form, then with an entry bound on
 the banded matrix Q), leaving two independent per-sequence linear problems
-whose maximizers are closed-form projections: a phase alignment for unit
-modulus, and water-filling (one sort plus suffix sums) for the energy and
-per-entry cap of PAPR mode.  The fixed-point map is accelerated with an
+max Re{x^H (s z - q)}, with q = (Q + Q^H) z and s the majorizer's scale,
+whose maximizers are closed-form.  :func:`_mm_update` is the one place that
+dispatches on the feasible set: unit modulus takes the phase alignment of
+:func:`_phase_update`, and PAPR mode water-fills each row of the descent
+vector s z - q with :func:`proj_papr` (one sort plus suffix sums) under the
+energy budget and per-entry cap.  The fixed-point map is accelerated with an
 extrapolated step and objective-guarded backtracking (SQUAREM: Varadhan and
 Roland, Scand. J. Stat. 2008), whose step length -||v1|| / ||v2|| reads the
 first and second differences of two plain steps.
 
 In unimodular mode the plain step turns each phase by an angle of order
-|q| / s, q = (Q + Q^H) z and s the majorizer's scale.  At L = 4096, Z = 256
-that ratio falls from about 1e-4 at a random start to 1e-13 and below as the
-zone clears, so the difference of two rounded unit-modulus iterates is then
-mostly round-off, and their second difference v2 more so.  Each plain step
-therefore returns its increment u (e^{i delta} - 1), u the phase of z, with
-the angle delta formed from q and s apart (:func:`_phase_update`).  PAPR
-mode keeps the difference of the iterates.
+|q| / s.  At L = 4096, Z = 256 that ratio falls from about 1e-4 at a random
+start to 1e-13 and below as the zone clears, so the difference of two
+rounded unit-modulus iterates is then mostly round-off, and their second
+difference v2 more so.  Each plain step therefore returns its increment
+u (e^{i delta} - 1), u the phase of z, with the angle delta formed from q
+and s apart.  PAPR mode keeps the difference of the iterates.
 
 A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``target`` (both in-zone correlation maxima at or below the target),
@@ -59,7 +61,6 @@ __all__ = [
     "lambda_j",
     "lambda_u",
     "descent_vector",
-    "proj_unimodular",
     "proj_papr",
     "sdamm_step",
     "solve",
@@ -75,7 +76,7 @@ class SolverConfig:
     alpha: float = 0.5
     mode: str = "papr"            # "papr" or "unimodular"
     p_e: float | None = None      # energy budget, defaults to L
-    p_r: float = 5.0              # PAPR cap, papr mode only
+    p_r: float = 5.0              # PAPR cap, 1 in unimodular mode
     max_iter: int = 200_000
     tol: float = 1e-14
     target: float | None = None   # in-zone maxima bound, defaults to 1e-11 * 2 p_e
@@ -93,17 +94,21 @@ class SolverConfig:
             raise ValueError("max_iter must be nonnegative and tol finite and nonnegative")
         if self.target is not None and not 0.0 <= self.target < np.inf:
             raise ValueError("target must be finite and nonnegative")
-        if self.mode == "unimodular" and self.p_e not in (None, self.L):
-            raise ValueError("p_e must be L in unimodular mode")
-        if self.p_e is None or self.mode == "unimodular":
-            # The default budget; |z_l| = 1 forces it in unimodular mode.
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if self.mode == "unimodular":
+            if self.p_e not in (None, self.L):
+                raise ValueError("p_e must be L in unimodular mode")
+            # |z_l| = 1 forces the budget L and the cap p_c = 1.
+            self.p_e, self.p_r = float(self.L), 1.0
+        elif self.p_e is None:
             self.p_e = float(self.L)
         if not 0.0 < self.p_e <= self.L:
             raise ValueError("p_e must lie in (0, L]")
         if self.target is None:
             # 1e-11 of the zero-lag peak 2 p_e of C_x + C_y.
             self.target = 1e-11 * 2.0 * self.p_e
-        if self.mode == "papr" and not 1.0 <= self.p_r <= self.L:
+        if not 1.0 <= self.p_r <= self.L:
             raise ValueError("p_r must lie in [1, L]")
         if self.weights is None:
             self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
@@ -119,9 +124,7 @@ class SolverConfig:
 
     @property
     def p_c(self) -> float:
-        """Per-entry magnitude cap sqrt(p_r * p_e / L)."""
-        if self.mode == "unimodular":
-            return 1.0
+        """Per-entry magnitude cap sqrt(p_r * p_e / L), exactly 1.0 in unimodular mode."""
         return float(np.sqrt(self.p_r * self.p_e / self.L))
 
 
@@ -203,7 +206,7 @@ def _majorant(rec: Iterate, wp: WeightProfile, lam_j: float) -> tuple[float, np.
     """Scale s = 2*lam_j*||z||^2 + lam_u and product q = (Q + Q^H) z at z = rec.z."""
     z = rec.z
     lam_u = lambda_u(rec.r, rec.c, wp)
-    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp.alpha, wp.L)
+    qz = gram_product(weighted_spectra(rec.r, rec.c, wp), rec.spectra, wp)
     return 2.0 * lam_j * float(np.vdot(z, z).real) + lam_u, qz
 
 
@@ -216,15 +219,6 @@ def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
     """
     scale, qz = _majorant(rec, wp, lam_j)
     return np.subtract(scale * rec.z, qz, out=qz)
-
-
-def proj_unimodular(v: np.ndarray) -> np.ndarray:
-    """Entry-wise unit-modulus maximizer of Re{x^H v}; zeros map to 1."""
-    v = np.asarray(v, dtype=np.complex128)
-    out = np.multiply(1j, np.angle(v))
-    np.exp(out, out=out)
-    out[v == 0] = 1.0
-    return out
 
 
 def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
@@ -263,18 +257,6 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
     return v * np.minimum(np.sqrt(delta2[s]) / peak, cap)
 
 
-def _project(v: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Mode projection applied independently to the x and y rows of ``v``.
-
-    The unit-modulus projection is element-wise, so it takes the stacked
-    vector in one call.
-    """
-    if config.mode == "unimodular":
-        return proj_unimodular(v)
-    p_c = config.p_c
-    return np.concatenate([proj_papr(row, config.p_e, p_c) for row in v.reshape(2, config.L)])
-
-
 def _phase_update(z: np.ndarray, scale: float, qz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus step Proj(s z - q) = u e^{i delta} and its increment u (e^{i delta} - 1).
 
@@ -293,14 +275,17 @@ def _phase_update(z: np.ndarray, scale: float, qz: np.ndarray) -> tuple[np.ndarr
 
 
 def _mm_update(rec: Iterate, config: SolverConfig, lam_j: float) -> tuple[np.ndarray, np.ndarray]:
-    """One plain majorization step Proj(P(z)) from the evaluation of z, and its increment.
+    """One plain majorization step from the evaluation of z, and its increment.
 
-    In unimodular mode the increment comes from :func:`_phase_update`; in
-    PAPR mode it is the difference of the two iterates.
+    Unimodular mode aligns phases with :func:`_phase_update`, which forms
+    the increment from s and q apart.  PAPR mode water-fills the x and y
+    rows of the descent vector with :func:`proj_papr` independently, and
+    the increment is the difference of the two iterates.
     """
     if config.mode == "unimodular":
         return _phase_update(rec.z, *_majorant(rec, config.weights, lam_j))
-    z_new = _project(descent_vector(rec, config.weights, lam_j), config)
+    v = descent_vector(rec, config.weights, lam_j).reshape(2, config.L)
+    z_new = np.concatenate([proj_papr(row, config.p_e, config.p_c) for row in v])
     return z_new, z_new - rec.z
 
 

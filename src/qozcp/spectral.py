@@ -181,17 +181,17 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     return _in_place(np.fft.fft, mu)
 
 
-def gram_product(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndarray:
+def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray:
     """Apply (Q + Q^H) to the stacked length-2L iterate z in O(L log L).
 
-    ``mu`` is the (2, n) output of :func:`weighted_spectra` for z, ``f`` the
-    (2, n) padded transforms of its rows x and y (z enters only through
-    them) and ``alpha`` the weight profile's mix.  The product of any
-    banded-Toeplitz block with a vector is a circular correlation, evaluated
-    here as ifft(f_v . rev(mu)); with the band |k| < K it is exact for
-    n >= L + K - 1.  The four kernel products go through one inverse
-    transform.  The test-only dense construction of Q pins every sign and
-    conjugation.
+    ``mu`` is the (2, n) output of :func:`weighted_spectra` for z and the
+    profile ``wp``, ``f`` the (2, n) padded transforms of its rows x and y
+    (z enters only through them); ``wp`` also supplies the mix ``alpha`` and
+    the length L.  The product of any banded-Toeplitz block with a vector is
+    a circular correlation, evaluated here as ifft(f_v . rev(mu)); with the
+    band |k| < K it is exact for n >= L + K - 1.  The four kernel products
+    go through one inverse transform.  The test-only dense construction of
+    Q pins every sign and conjugation.
     """
     # Rows: (x, mu_r_rev), (y, mu_r_rev), (y, nu_c), (x, conj(nu_c)), where
     # (mu_r_rev, nu_c) = rev(mu).  The kernels are built in the scratch rows
@@ -203,9 +203,9 @@ def gram_product(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndar
     np.conjugate(kernels[2], out=kernels[3])
     np.multiply(f, kernels[:2], out=kernels[:2])
     np.multiply(f[::-1], kernels[2:], out=kernels[2:])
-    corr = _in_place(np.fft.ifft, kernels)[:, :L]
+    corr = _in_place(np.fft.ifft, kernels)[:, :wp.L]
     # Diagonal blocks of Q and Q^H coincide, hence the factor 2 on the
     # autocorrelation kernel.
-    np.multiply(2.0 * alpha, corr[:2], out=corr[:2])
-    np.multiply(1.0 - alpha, corr[2:], out=corr[2:])
+    np.multiply(2.0 * wp.alpha, corr[:2], out=corr[:2])
+    np.multiply(1.0 - wp.alpha, corr[2:], out=corr[2:])
     return np.add(corr[:2], corr[2:]).ravel()

@@ -90,6 +90,19 @@ def gram_product_per_row(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) ->
     return np.concatenate([top, bottom])
 
 
+def proj_unimodular(v: np.ndarray) -> np.ndarray:
+    """Entry-wise unit-modulus maximizer of Re{x^H v} by angle and exp; zeros map to 1.
+
+    The solver forms the same maximizer from the majorant's parts instead
+    (``solver._phase_update``).
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    out = np.multiply(1j, np.angle(v))
+    np.exp(out, out=out)
+    out[v == 0] = 1.0
+    return out
+
+
 def random_pair(rng: np.random.Generator, L: int):
     x = rng.normal(size=L) + 1j * rng.normal(size=L)
     y = rng.normal(size=L) + 1j * rng.normal(size=L)

@@ -27,9 +27,9 @@ from qozcp.solver import (
     SolverState,
     _evaluate,
     _initial_z,
+    _phase_update,
     lambda_j,
     proj_papr,
-    proj_unimodular,
     sdamm_step,
     solve,
 )
@@ -174,7 +174,7 @@ def test_criterion_4_oracle_equivalence():
             z = np.concatenate([x, y])
             r, c = correlations_via_fft(SequencePair(x, y))
             fast = gram_product(weighted_spectra(r, c, wp),
-                                forward_spectrum(np.stack([x, y]), wp.n_fft), wp.alpha, L)
+                                forward_spectrum(np.stack([x, y]), wp.n_fft), wp)
             Q = dense_q(z, wp)
             err = float(np.max(np.abs(fast - (Q + Q.conj().T) @ z)))
             assert err <= 1e-9
@@ -268,15 +268,21 @@ def test_criterion_6_projection_optimality():
         assert score >= best_cand - 1e-9 * abs(score)
         margin_papr = min(margin_papr, score - best_cand)
 
-        out_u = proj_unimodular(v)
-        score_u = float(np.real(np.vdot(out_u, v)))
-        assert np.max(np.abs(np.imag(np.conj(out_u) * v))) <= 1e-12 * np.abs(v).max()
+        # The unit-modulus step maximizes Re{x^H (s z - q)} from s and q apart;
+        # q is chosen so that s z - q is v, whatever the turn of each entry.
+        z = np.exp(1j * rng.uniform(0, 2 * np.pi, size=L))
+        s = float(rng.uniform(0.5, 2.0))
+        q = s * z - v
+        v_u = s * z - q
+        out_u = _phase_update(z, s, q.copy())[0]
+        score_u = float(np.real(np.vdot(out_u, v_u)))
+        assert np.max(np.abs(np.imag(np.conj(out_u) * v_u))) <= 1e-12 * np.abs(v_u).max()
         cand_u = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(n_cand, L)))
-        best_u = float(np.max(np.real(cand_u @ np.conj(v))))
+        best_u = float(np.max(np.real(cand_u @ np.conj(v_u))))
         assert score_u >= best_u - 1e-9 * abs(score_u)
         margin_uni = min(margin_uni, score_u - best_u)
     print(f"\ncriterion 6 PASS: proj_papr beats 1e4 candidates "
-          f"(min margin {margin_papr:.3e}), proj_unimodular likewise "
+          f"(min margin {margin_papr:.3e}), _phase_update likewise "
           f"(min margin {margin_uni:.3e}), KKT alignment exact")
 
 

@@ -320,6 +320,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["design", "--length", "16", "--zone", "8", "--target", "nan", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--target", "inf", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--tol", "inf", "--out", "{d}/a.json"],
+    ["design", "--length", "16", "--zone", "8", "--seed", "-1", "--out", "{d}/a.json"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
@@ -328,7 +329,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
-        "target-negative", "target-nan", "target-inf", "tol-inf",
+        "target-negative", "target-nan", "target-inf", "tol-inf", "seed-negative",
         "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, argv):
     assert main([a.format(d=tmp_path) for a in argv]) == 2

@@ -17,13 +17,12 @@ from qozcp.solver import (
     SolverConfig,
     SolverState,
     _evaluate,
+    _mm_update,
     _phase_update,
-    _project,
     descent_vector,
     lambda_j,
     lambda_u,
     proj_papr,
-    proj_unimodular,
     sdamm_step,
     solve,
 )
@@ -34,6 +33,7 @@ from oracles import (
     dense_lifted_form,
     dense_q,
     proj_papr_bisect,
+    proj_unimodular,
     random_pair,
 )
 
@@ -133,19 +133,20 @@ def test_proj_unimodular_zero_entries():
     assert out[1] == pytest.approx(1j)
 
 
-@pytest.mark.parametrize("mode", ["unimodular", "papr"])
-def test_project_stacked_equals_per_half(mode):
+def test_mm_update_papr_water_fills_each_row():
     L = 16
-    config = SolverConfig(L=L, Z=8, mode=mode)
+    config = SolverConfig(L=L, Z=8, p_r=2.0)
+    wp = config.weights
+    lam = lambda_j(wp, L)
     rng = np.random.default_rng(4)
-    v = rng.normal(size=2 * L) + 1j * rng.normal(size=2 * L)
-    v[[3, L + 5]] = 0.0
-    if mode == "unimodular":
-        halves = [proj_unimodular(v[:L]), proj_unimodular(v[L:])]
-    else:
-        halves = [proj_papr(v[:L], config.p_e, config.p_c),
-                  proj_papr(v[L:], config.p_e, config.p_c)]
-    assert np.array_equal(_project(v, config), np.concatenate(halves))
+    z = rng.normal(size=2 * L) + 1j * rng.normal(size=2 * L)
+    z[[3, L + 5]] = 0.0
+    rec = _evaluate(z, wp)
+    v = descent_vector(rec, wp, lam)
+    rows = [proj_papr(v[:L], config.p_e, config.p_c), proj_papr(v[L:], config.p_e, config.p_c)]
+    z_new, step = _mm_update(rec, config, lam)
+    assert np.array_equal(z_new, np.concatenate(rows))
+    assert np.array_equal(step, z_new - z)
 
 
 def _phase_increment_reference(z, s, q):
@@ -357,7 +358,13 @@ def test_config_validation():
     assert SolverConfig(L=8, Z=4, alpha=0.3,
                         weights=WeightProfile.indicator(8, 4, alpha=0.3)).weights.alpha == 0.3
     assert SolverConfig(L=64, Z=10, weights=WeightProfile.indicator(64, 30)).Z == 10
+    for bad in (-1, 1.5, "0", None):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(L=8, Z=4, seed=bad)
+    assert SolverConfig(L=8, Z=4, seed=np.int64(3)).seed == 3
     assert SolverConfig(L=8, Z=4, mode="unimodular").p_e == 8.0
+    uni = SolverConfig(L=8, Z=4, mode="unimodular", p_r=3.0)
+    assert uni.p_r == uni.p_c == 1.0
     assert SolverConfig(L=8, Z=4, mode="unimodular", p_e=8).p_e == 8.0
     for bad in (float("nan"), -3.0, 4.0, float("inf")):
         with pytest.raises(ValueError, match="unimodular"):

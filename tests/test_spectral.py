@@ -90,7 +90,7 @@ def test_gram_product_matches_dense(L, alpha):
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
         mu = weighted_spectra(r[wp.band], c[wp.band], wp)
-        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), alpha, L)
+        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp)
         Q = dense_q(z, wp)
         dense = (Q + Q.conj().T) @ z
         assert np.max(np.abs(fast - dense)) < 1e-9
@@ -109,7 +109,7 @@ def test_gram_product_bits_match_per_row_oracle(L):
         wp = WeightProfile.indicator(L, Z, 0.5)
         mu = weighted_spectra(r[wp.band], c[wp.band], wp)
         f = forward_spectrum(np.stack([x, y]), wp.n_fft)
-        assert np.array_equal(gram_product(mu, f, wp.alpha, L),
+        assert np.array_equal(gram_product(mu, f, wp),
                               gram_product_per_row(mu, f, wp.alpha, L))
 
 
@@ -129,7 +129,7 @@ def test_gram_product_nonindicator_weights():
         z = np.concatenate([x, y])
         r, c = correlations_via_fft(SequencePair(x, y))
         mu = weighted_spectra(r[wp.band], c[wp.band], wp)
-        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp.alpha, L)
+        fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp)
         Q = dense_q(z, wp)
         assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
 
@@ -241,7 +241,7 @@ def test_results_survive_later_calls_at_the_same_length():
         x, y = random_pair(rng, L)
         f = forward_spectrum(np.stack([x, y]), wp.n_fft)
         r, c = correlations_from_spectra(f, wp.reach)
-        q = gram_product(weighted_spectra(r, c, wp), f, wp.alpha, L)
+        q = gram_product(weighted_spectra(r, c, wp), f, wp)
         out = (r, c, q, cross_correlation_fft(x, y), *correlations_via_fft(SequencePair(x, y)))
         results.append((out, [a.copy() for a in out]))
     for out, kept in results:
@@ -260,7 +260,7 @@ def test_transforms_without_out_keep_the_bits(monkeypatch):
     def outputs():
         f = forward_spectrum(np.stack([x, y]), wp.n_fft)
         r, c = correlations_from_spectra(f, wp.reach)
-        q = gram_product(weighted_spectra(r, c, wp), f, wp.alpha, L)
+        q = gram_product(weighted_spectra(r, c, wp), f, wp)
         return r, c, q, cross_correlation_fft(x, y)
 
     ref = outputs()
