@@ -6,10 +6,11 @@ tables with one row per (delay, doppler) cell.
 
 Exit codes: 0 success, 2 usage or data error, 1 internal failure.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
-relative output paths.  Output directories are checked before any work, and
-every output is written to a temporary file in its directory that replaces
-the target only once complete; ``evaluate`` replaces its tables and metrics
-together, after all of them are written.
+relative output paths.  Before any work, each output's directory must be
+writable and no output path may name an existing directory.  Every output is
+written to a temporary file in its directory that replaces the target only
+once complete; ``evaluate`` replaces its tables and metrics together, after
+all of them are written.
 """
 
 import argparse
@@ -40,14 +41,18 @@ class UsageError(Exception):
     """Bad flag combination or unreadable input; maps to exit code 2."""
 
 
-def _resolve_out(path: str) -> str:
-    """Apply ``QOZCP_OUT_DIR`` and check that the output directory is writable."""
+def _resolve_out(path: str, suffixes=("",)) -> str:
+    """Apply ``QOZCP_OUT_DIR``, check that the output directory is writable
+    and that no output ``path + suffix`` is an existing directory."""
     base = os.environ.get("QOZCP_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
     directory = os.path.dirname(path) or "."
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise UsageError(f"output directory {directory!r} is missing or not writable")
+    for target in (path + suffix for suffix in suffixes):
+        if os.path.isdir(target):
+            raise UsageError(f"output {target!r} is a directory")
     return path
 
 
@@ -223,7 +228,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    prefix = _resolve_out(args.out_prefix)
+    # A two-row (ptm-a) schedule has a cross surface, so a CAF table too.
+    tables = ("aaf", "caf") if args.schedule == "ptm-a" else ("aaf",)
+    suffixes = [f"_{name}.csv" for name in tables] + ["_metrics.json"]
+    prefix = _resolve_out(args.out_prefix, suffixes)
     pair, archive_z = _load_pair(args.pair)
     Z = args.zone if args.zone is not None else (archive_z or pair.length)
     _check_zone(Z, pair.length)
@@ -234,19 +242,16 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    aaf = ambiguity_surface(schedule, 0, 0, grid)
-    outputs = {f"{prefix}_aaf.csv": aaf}
-    if schedule.rows == 2:
-        outputs[f"{prefix}_caf.csv"] = ambiguity_surface(schedule, 0, 1, grid)
+    surfaces = [ambiguity_surface(schedule, 0, row, grid) for row in range(schedule.rows)]
 
     # A one-row schedule has no cross surface; its metrics use the default
     # two-row schedule, as in design and compare.
     metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
 
     # The outputs replace their targets only once all of them are written.
-    paths = [*outputs, f"{prefix}_metrics.json"]
+    paths = [prefix + suffix for suffix in suffixes]
     with _staged(paths) as tmps:
-        for tmp, surface in zip(tmps, outputs.values()):
+        for tmp, surface in zip(tmps, surfaces):
             write_surface_table(tmp, surface)
         _write_json(tmps[-1], metrics)
     for path in paths:

@@ -4,14 +4,18 @@ Each iteration majorizes the quartic sidelobe objective twice (first with the
 largest eigenvalue of the lifted quadratic form, then with an entry bound on
 the banded matrix Q), leaving two independent per-sequence linear problems
 max Re{x^H (s z - q)}, with q = (Q + Q^H) z and s the majorizer's scale,
-whose maximizers are closed-form.  :func:`_mm_update` is the one place that
-dispatches on the feasible set: unit modulus takes the phase alignment of
+whose maximizers are closed-form.  :func:`_mm_update` dispatches the plain
+step on the feasible set: unit modulus takes the phase alignment of
 :func:`_phase_update`, and PAPR mode water-fills each row of the descent
 vector s z - q with :func:`proj_papr` (one sort plus suffix sums) under the
 energy budget and per-entry cap.  The fixed-point map is accelerated with an
 extrapolated step and objective-guarded backtracking (SQUAREM: Varadhan and
 Roland, Scand. J. Stat. 2008), whose step length -||v1|| / ||v2|| reads the
-first and second differences of two plain steps.
+first and second differences of two plain steps.  :func:`_candidate`, the
+only other place that dispatches on the feasible set, turns the extrapolated
+point into a feasible candidate: unit modulus projects it (the projected
+SQUAREM of Song, Babu and Palomar, IEEE T-SP 2015), PAPR mode takes one more
+plain step from it.
 
 In unimodular mode the plain step turns each phase by an angle of order
 |q| / s.  At L = 4096, Z = 256 that ratio falls from about 1e-4 at a random
@@ -29,8 +33,13 @@ A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 Evaluation budget: an evaluation (:func:`_evaluate`) is the padded forward
 transform of both rows, the correlations and the objective of one iterate, and
 its :class:`Iterate` record feeds the next descent vector.  A step evaluates
-z1, the extrapolated point and its projection, so 3 evaluations, plus 2 per
-backtrack; the current iterate's record comes from the previous step.
+z1 and the candidate; the current iterate's record comes from the previous
+step.  In unimodular mode the candidate is the projected extrapolated point,
+so a step takes at most 2 evaluations and 2 MM updates, plus 1 evaluation
+per backtrack.  In PAPR mode the candidate is a plain step from the
+extrapolated point, evaluated before and after, so a step takes at most 3
+evaluations and 3 MM updates, plus 2 evaluations and 1 MM update per
+backtrack.
 
 Every transform in the loop has the weight profile's length ``n_fft`` and
 every lag vector holds only the lags |k| < ``reach``: the objective, the
@@ -257,6 +266,16 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
     return v * np.minimum(np.sqrt(delta2[s]) / peak, cap)
 
 
+def _unit_phase(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit phases u = z / |z|, 1 where z is 0, and the magnitudes |z|.
+
+    u is the nearest unit-modulus vector to z, so it is also the projection
+    of an extrapolated point onto the unimodular set.
+    """
+    mag = np.abs(z)
+    return np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0), mag
+
+
 def _phase_update(z: np.ndarray, scale: float, qz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus step Proj(s z - q) = u e^{i delta} and its increment u (e^{i delta} - 1).
 
@@ -266,8 +285,7 @@ def _phase_update(z: np.ndarray, scale: float, qz: np.ndarray) -> tuple[np.ndarr
     round-off relative to itself.  atan2 is total, so entries with
     s |z| - Re(q conj(u)) <= 0 and zero entries need no special case.
     """
-    mag = np.abs(z)
-    u = np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0)
+    u, mag = _unit_phase(z)
     g = np.multiply(qz, np.conj(u), out=qz)
     delta = np.arctan2(-g.imag, scale * mag - g.real)
     step = u * (-2.0 * np.sin(0.5 * delta) ** 2 + 1j * np.sin(delta))
@@ -289,6 +307,23 @@ def _mm_update(rec: Iterate, config: SolverConfig, lam_j: float) -> tuple[np.nda
     return z_new, z_new - rec.z
 
 
+def _candidate(z_a: np.ndarray, config: SolverConfig, lam_j: float) -> Iterate:
+    """The evaluated SQUAREM candidate from the extrapolated point z_a.
+
+    Unimodular mode takes the projection Proj(z_a) = :func:`_unit_phase`,
+    the projected SQUAREM of unit-modulus sequence design (Song, Babu and
+    Palomar, IEEE T-SP 2015): one evaluation.  PAPR mode takes one plain step
+    M(z_a): two evaluations and one MM update.  Its increments are
+    differences of rounded iterates, and with a projected candidate some
+    (64, 30) designs that reach the zone target in about 200 steps run to
+    1000 steps without reaching it.
+    """
+    wp = config.weights
+    if config.mode == "unimodular":
+        return _evaluate(_unit_phase(z_a)[0], wp)
+    return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j)[0], wp)
+
+
 def sdamm_step(state: SolverState, config: SolverConfig,
                lam_j: float | None = None) -> SolverState:
     """Accelerated fixed-point update with objective-guarded backtracking.
@@ -296,9 +331,13 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     Two plain steps z1 = M(z) and z2 = M(z1) give the increments v1 = z1 - z
     and v2 = (z2 - z1) - v1, each plain increment as :func:`_mm_update`
     returns it: exact to round-off relative to itself in unimodular mode, the
-    difference of the iterates in PAPR mode.  The candidate is
-    M(z - 2 a v1 + a^2 v2), a = min(-||v1|| / ||v2||, -1), halved towards -1
-    while it raises the objective.
+    difference of the iterates in PAPR mode.  From the extrapolated point
+    z_a = z - 2 a v1 + a^2 v2, a = min(-||v1|| / ||v2||, -1), the candidate
+    is :func:`_candidate`'s: the projection Proj(z_a) onto the unit circle in
+    unimodular mode (Song, Babu and Palomar, IEEE T-SP 2015), the plain step
+    M(z_a) in PAPR mode (Varadhan and Roland, Scand. J. Stat. 2008).  a is
+    halved towards -1 while the candidate raises the objective; if it still
+    does at a = -1, where z_a is z2, the step takes the better of z1 and z2.
     Appends the new objective to ``state.objective_history`` in place and
     hands the same list to the returned state.  When no candidate lowers the
     objective, which only round-off allows, the step keeps the current
@@ -325,7 +364,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     def accelerated(a: float) -> Iterate:
         z_a = z_t - 2.0 * a * v1
         z_a += a ** 2 * v2
-        return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j)[0], wp)
+        return _candidate(z_a, config, lam_j)
 
     if norm_v2 == 0.0:
         # Fixed point of the plain map; nothing left to extrapolate.

@@ -351,6 +351,45 @@ def test_missing_output_directory_exits_2_before_work(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_design_out_existing_directory_exits_2_before_work(tmp_path, monkeypatch):
+    def no_solve(config):
+        raise AssertionError("solve ran before the output path was checked")
+
+    monkeypatch.setattr(qozcp.cli, "solve", no_solve)
+    (tmp_path / "a.json").mkdir()
+    rc = main(["design", "--length", "8", "--zone", "4", "--out", str(tmp_path / "a.json")])
+    assert rc == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+    assert list((tmp_path / "a.json").iterdir()) == []
+
+
+@pytest.mark.parametrize("schedule, taken", [
+    ("ptm-a", "e_aaf.csv"), ("ptm-a", "e_caf.csv"), ("ptm-siso", "e_metrics.json"),
+])
+def test_evaluate_output_existing_directory_exits_2_before_work(
+        tmp_path, monkeypatch, schedule, taken):
+    def no_surface(*args):
+        raise AssertionError("a surface was computed before the outputs were checked")
+
+    monkeypatch.setattr(qozcp.cli, "ambiguity_surface", no_surface)
+    (tmp_path / taken).mkdir()
+    rc = main(["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", schedule,
+               "--out-prefix", str(tmp_path / "e")])
+    assert rc == 2
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert list((tmp_path / taken).iterdir()) == []
+
+
+def test_evaluate_siso_ignores_a_caf_directory(tmp_path):
+    # a one-row schedule writes no CAF table, so that name may be taken
+    (tmp_path / "e_caf.csv").mkdir()
+    rc = main(["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
+               "--pri", "4", "--doppler-samples", "4", "--out-prefix", str(tmp_path / "e")])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "e_aaf.csv", "e_caf.csv", "e_metrics.json"]
+
+
 def _failing_writes(path):
     """Writes to ``path`` that each fail part-way through."""
     config = SolverConfig(L=16, Z=8)

@@ -114,7 +114,7 @@ def test_full_zone_keeps_the_2l_transform_bits():
     assert np.array_equal(rec.r, r) and np.array_equal(rec.c, c)
     # the same trajectory as with 2L transforms throughout
     _, state = solve(SolverConfig(L=L, Z=L, mode="unimodular", seed=0))
-    assert (state.stop_reason, state.iteration) == ("stalled", 71)
+    assert (state.stop_reason, state.iteration) == ("stalled", 70)
 
 
 def test_proj_unimodular_phase_alignment():
@@ -439,7 +439,7 @@ def test_unimodular_solve_reaches_target(monkeypatch):
 
     monkeypatch.setattr(solver, "sdamm_step", checked)
     pair, state = solve(config)
-    assert (state.stop_reason, state.iteration) == ("target", 131)
+    assert (state.stop_reason, state.iteration) == ("target", 123)
     assert len(worst) == state.iteration and max(worst) <= 1e-12
     assert np.all(np.diff(state.objective_history) <= 0)
     lags = np.abs(np.arange(1 - L, L))
@@ -503,19 +503,30 @@ def test_sdamm_step_evaluation_budget(monkeypatch, mode):
     config, state = _start(mode)
     lam = lambda_j(config.weights, config.L)
     calls = []
-    original = solver._evaluate
 
-    def counting(z, wp):
-        calls.append(1)
-        return original(z, wp)
+    def counting(name):
+        original = getattr(solver, name)
 
-    monkeypatch.setattr(solver, "_evaluate", counting)
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+
+    for name in ("_evaluate", "_mm_update"):
+        monkeypatch.setattr(solver, name, counting(name))
     total_backtracks = 0
     for _ in range(60):
         calls.clear()
         state = sdamm_step(state, config, lam_j=lam)
         backtracks = state.last_step["backtracks"]
         total_backtracks += backtracks
-        assert len(calls) <= 3 + 2 * backtracks
+        if mode == "unimodular":
+            # each candidate is a projection: 1 evaluation, no MM update
+            assert calls.count("_evaluate") <= 2 + backtracks
+            assert calls.count("_mm_update") <= 2
+        else:
+            # each candidate is a plain step: 2 evaluations, 1 MM update
+            assert calls.count("_evaluate") <= 3 + 2 * backtracks
+            assert calls.count("_mm_update") <= 3 + backtracks
     # the budget was also checked on steps that backtracked
     assert total_backtracks > 0
