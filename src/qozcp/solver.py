@@ -269,8 +269,8 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
 def _unit_phase(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit phases u = z / |z|, 1 where z is 0, and the magnitudes |z|.
 
-    u is the nearest unit-modulus vector to z, so it is also the projection
-    of an extrapolated point onto the unimodular set.
+    u is the nearest unit-modulus vector to z: its projection onto the
+    unimodular set.
     """
     mag = np.abs(z)
     return np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0), mag
