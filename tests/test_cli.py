@@ -351,31 +351,21 @@ def test_missing_output_directory_exits_2_before_work(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_design_out_existing_directory_exits_2_before_work(tmp_path, monkeypatch):
-    def no_solve(config):
-        raise AssertionError("solve ran before the output path was checked")
+@pytest.mark.parametrize("argv, taken", [
+    (["design", "--length", "8", "--zone", "4", "--out", "{d}/a.json"], "a.json"),
+    (["evaluate", "--pair", "golay:16", "--zone", "8", "--out-prefix", "{d}/e"], "e_aaf.csv"),
+    (["evaluate", "--pair", "golay:16", "--zone", "8", "--out-prefix", "{d}/e"], "e_caf.csv"),
+    (["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
+      "--out-prefix", "{d}/e"], "e_metrics.json"),
+], ids=["design", "evaluate-aaf", "evaluate-caf", "evaluate-siso-metrics"])
+def test_output_naming_a_directory_exits_2_before_work(tmp_path, monkeypatch, argv, taken):
+    def no_work(*args):
+        raise AssertionError("work ran before the output paths were checked")
 
-    monkeypatch.setattr(qozcp.cli, "solve", no_solve)
-    (tmp_path / "a.json").mkdir()
-    rc = main(["design", "--length", "8", "--zone", "4", "--out", str(tmp_path / "a.json")])
-    assert rc == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
-    assert list((tmp_path / "a.json").iterdir()) == []
-
-
-@pytest.mark.parametrize("schedule, taken", [
-    ("ptm-a", "e_aaf.csv"), ("ptm-a", "e_caf.csv"), ("ptm-siso", "e_metrics.json"),
-])
-def test_evaluate_output_existing_directory_exits_2_before_work(
-        tmp_path, monkeypatch, schedule, taken):
-    def no_surface(*args):
-        raise AssertionError("a surface was computed before the outputs were checked")
-
-    monkeypatch.setattr(qozcp.cli, "ambiguity_surface", no_surface)
+    monkeypatch.setattr(qozcp.cli, "solve", no_work)
+    monkeypatch.setattr(qozcp.cli, "ambiguity_surface", no_work)
     (tmp_path / taken).mkdir()
-    rc = main(["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", schedule,
-               "--out-prefix", str(tmp_path / "e")])
-    assert rc == 2
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
     assert [p.name for p in tmp_path.iterdir()] == [taken]
     assert list((tmp_path / taken).iterdir()) == []
 
