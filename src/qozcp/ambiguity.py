@@ -57,6 +57,9 @@ class DelayDopplerGrid:
 
     @classmethod
     def zone(cls, Z: int, doppler_max: float, samples: int) -> "DelayDopplerGrid":
+        # linspace would spread a non-finite bound with a RuntimeWarning first.
+        if not np.isfinite(doppler_max):
+            raise ValueError("doppler values must be finite")
         return cls(
             delays=np.arange(-(Z - 1), Z),
             dopplers=np.linspace(0.0, doppler_max, samples),

@@ -4,7 +4,8 @@ Pairs are persisted as JSON archives with explicit [re, im] entry lists so
 they diff cleanly and round-trip losslessly; surfaces are written as CSV
 tables with one row per (delay, doppler) cell.
 
-Exit codes: 0 success, 2 usage or data error, 1 internal failure.  The
+Exit codes: 0 success, 2 usage or data error, 1 internal failure.  A pair
+whose correlations overflow the float range is a data error.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
 relative output paths.  Before any work, each output's directory must be
 writable and no output path may name an existing directory.  Every output is
@@ -83,9 +84,11 @@ def _seq_to_json(x: np.ndarray) -> list:
 
 
 def _seq_from_json(entries) -> np.ndarray:
+    # JSON true and false load as bool, a subclass of int; they are not entries.
     if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in entries):
-        raise ValueError("sequence must be a list of [re, im] entries")
+            isinstance(e, list) and len(e) == 2 and all(type(v) in (int, float) for v in e)
+            for e in entries):
+        raise ValueError("sequence must be a list of [re, im] number entries")
     return np.array([complex(re, im) for re, im in entries])
 
 
@@ -139,7 +142,7 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
     try:
         pair = SequencePair(_seq_from_json(doc["x"]), _seq_from_json(doc["y"]),
                             meta={"source": path, "Z": doc["Z"], "mode": doc["mode"]})
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, ValueError) as exc:
         raise UsageError(f"corrupt pair archive {path!r}: {exc}") from exc
     if pair.length != doc["L"]:
         raise UsageError(f"corrupt pair archive {path!r}: length mismatch")
@@ -182,6 +185,16 @@ def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
             raise UsageError(str(exc)) from exc
     pair, doc = read_archive(ref)
     return pair, doc["Z"]
+
+
+def _require_finite(ref: str, values) -> None:
+    """UsageError unless every value is finite.
+
+    Entries near the float range overflow the correlations of a pair, so
+    callers compute them with numpy's overflow warnings off and check here.
+    """
+    if not np.isfinite(list(values)).all():
+        raise UsageError(f"pair {ref!r} overflows: its correlations are not finite")
 
 
 def _pair_metrics(pair: SequencePair, Z: int, schedule: TransmitSchedule | None = None) -> dict:
@@ -242,11 +255,14 @@ def cmd_evaluate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    surfaces = [ambiguity_surface(schedule, 0, row, grid) for row in range(schedule.rows)]
-
-    # A one-row schedule has no cross surface; its metrics use the default
-    # two-row schedule, as in design and compare.
-    metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        surfaces = [ambiguity_surface(schedule, 0, row, grid) for row in range(schedule.rows)]
+        # A one-row schedule has no cross surface; its metrics use the
+        # default two-row schedule, as in design and compare.
+        metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)
+        # finite only if every value and its modulus in the tables are
+        peaks = [np.max(surface.modulus()) for surface in surfaces]
+    _require_finite(args.pair, peaks + list(metrics.values()))
 
     # The outputs replace their targets only once all of them are written.
     paths = [prefix + suffix for suffix in suffixes]
@@ -278,9 +294,12 @@ def cmd_compare(args) -> int:
         ("max AAF sidelobe (omega1)", "max_aaf_sidelobe_omega1"),
         ("max CAF (omega2)", "max_caf_omega2"),
     ]
-    metrics_a = _pair_metrics(pair_a, Z)
-    metrics_b = _pair_metrics(pair_b, Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics_a = _pair_metrics(pair_a, Z)
+        metrics_b = _pair_metrics(pair_b, Z)
     name_a, name_b = args.pair
+    _require_finite(name_a, metrics_a.values())
+    _require_finite(name_b, metrics_b.values())
     width = max(len(r[0]) for r in rows)
     print(f"{'metric':<{width}}  {name_a:>24}  {name_b:>24}")
     for label, key in rows:

@@ -22,8 +22,11 @@ In unimodular mode the plain step turns each phase by an angle of order
 start to 1e-13 and below as the zone clears, so the difference of two
 rounded unit-modulus iterates is then mostly round-off, and their second
 difference v2 more so.  Each plain step therefore returns its increment
-u (e^{i delta} - 1), u the phase of z, with the angle delta formed from q
-and s apart.  PAPR mode keeps the difference of the iterates.
+u (e^{i delta} - 1), u the phase of z, with the turn e^{i delta} - 1 formed
+from q and s apart.  The turn is algebraic, (Re w - |w| + i Im w) / |w|
+for w = s |z| - q conj(u), with no trigonometric call; where Re w > 0 its
+real part is -(Im w)^2 / (|w| (|w| + Re w)), free of cancellation.  PAPR
+mode keeps the difference of the iterates.
 
 A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``target`` (both in-zone correlation maxima at or below the target),
@@ -273,22 +276,47 @@ def _unit_phase(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unimodular set.
     """
     mag = np.abs(z)
+    if mag.min() > 0.0:
+        return z / mag, mag
     return np.divide(z, mag, out=np.ones_like(z), where=mag > 0.0), mag
+
+
+def _turn_ahead(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(Re w - |w| + i Im w) / |w| for Re w > 0, with rho = |w|.
+
+    Re w - |w| is taken as -(Im w)^2 / (|w| + Re w), free of cancellation.
+    """
+    turn = np.empty_like(w)
+    np.divide(w.imag, rho, out=turn.imag)
+    np.divide(turn.imag * w.imag, rho + w.real, out=turn.real)
+    np.negative(turn.real, out=turn.real)
+    return turn
 
 
 def _phase_update(z: np.ndarray, scale: float, qz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus step Proj(s z - q) = u e^{i delta} and its increment u (e^{i delta} - 1).
 
-    With u = z / |z| (1 where z is 0), s z - q = (s |z| - q conj(u)) u, so
-    delta = atan2(-Im(q conj(u)), s |z| - Re(q conj(u))) is formed from q and
-    s apart, and e^{i delta} - 1 = -2 sin^2(delta/2) + i sin(delta) carries
-    round-off relative to itself.  atan2 is total, so entries with
-    s |z| - Re(q conj(u)) <= 0 and zero entries need no special case.
+    With u = z / |z| (1 where z is 0), s z - q = w u for w = s |z| - q conj(u),
+    so the turn e^{i delta} - 1 = (Re w - |w| + i Im w) / |w| is formed from q
+    and s apart, with no trigonometric call, and carries round-off relative
+    to itself (:func:`_turn_ahead`).  Re w > 0 holds for every entry once
+    the steps are small; only when it fails are the entries sorted by mask:
+    turned-back ones (Re w <= 0) take (Re w - |w|) / |w| as it stands, and
+    w = 0 (a zero entry where q is 0 too) keeps u with a zero turn.
     """
     u, mag = _unit_phase(z)
-    g = np.multiply(qz, np.conj(u), out=qz)
-    delta = np.arctan2(-g.imag, scale * mag - g.real)
-    step = u * (-2.0 * np.sin(0.5 * delta) ** 2 + 1j * np.sin(delta))
+    w = np.multiply(qz, np.conj(u), out=qz)
+    np.subtract(scale * mag, w, out=w)
+    rho = np.abs(w)
+    if w.real.min() > 0.0:
+        turn = _turn_ahead(w, rho)
+    else:
+        turn = np.zeros_like(w)
+        ahead = w.real > 0.0
+        back = ~ahead & (rho != 0.0)
+        turn[ahead] = _turn_ahead(w[ahead], rho[ahead])
+        turn[back] = (w[back] - rho[back]) / rho[back]
+    step = np.multiply(u, turn, out=turn)
     return u + step, step
 
 

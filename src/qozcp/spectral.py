@@ -189,23 +189,24 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     (z enters only through them); ``wp`` also supplies the mix ``alpha`` and
     the length L.  The product of any banded-Toeplitz block with a vector is
     a circular correlation, evaluated here as ifft(f_v . rev(mu)); with the
-    band |k| < K it is exact for n >= L + K - 1.  The four kernel products
-    go through one inverse transform.  The test-only dense construction of
-    Q pins every sign and conjugation.
+    band |k| < K it is exact for n >= L + K - 1.  The alpha mix is applied to
+    the spectra, so one (2, n) inverse transform yields both output rows.
+    The test-only dense construction of Q pins every sign and conjugation.
     """
-    # Rows: (x, mu_r_rev), (y, mu_r_rev), (y, nu_c), (x, conj(nu_c)), where
-    # (mu_r_rev, nu_c) = rev(mu).  The kernels are built in the scratch rows
-    # and multiplied by the spectra in place.  f stays the left operand of
-    # every product: kernel * f can round differently from f * kernel.
-    kernels = _scratch("kernels", (4, f.shape[-1]))
-    _rev(mu, out=kernels[1:3])
-    kernels[0] = kernels[1]
-    np.conjugate(kernels[2], out=kernels[3])
-    np.multiply(f, kernels[:2], out=kernels[:2])
-    np.multiply(f[::-1], kernels[2:], out=kernels[2:])
-    corr = _in_place(np.fft.ifft, kernels)[:, :wp.L]
+    # Rows 0-1 hold the kernels (mu_r_rev, nu_c) = rev(mu), scaled by the
+    # mix; rows 2-3 the cross products f_y nu_c and f_x conj(nu_c).  Each
+    # output row is its autocorrelation product plus its cross product:
+    # 2 alpha f rev(mu_r) + (1 - alpha) [f_y nu_c, f_x conj(nu_c)].
     # Diagonal blocks of Q and Q^H coincide, hence the factor 2 on the
     # autocorrelation kernel.
-    np.multiply(2.0 * wp.alpha, corr[:2], out=corr[:2])
-    np.multiply(1.0 - wp.alpha, corr[2:], out=corr[2:])
-    return np.add(corr[:2], corr[2:]).ravel()
+    rows = _scratch("kernels", (4, f.shape[-1]))
+    kernels, cross = rows[:2], rows[2:]
+    _rev(mu, out=kernels)
+    np.multiply(kernels, [[2.0 * wp.alpha], [1.0 - wp.alpha]], out=kernels)
+    np.multiply(f[1], kernels[1], out=cross[0])
+    np.conjugate(kernels[1], out=cross[1])
+    np.multiply(f[0], cross[1], out=cross[1])
+    np.multiply(f[1], kernels[0], out=kernels[1])
+    np.multiply(f[0], kernels[0], out=kernels[0])
+    corr = _in_place(np.fft.ifft, np.add(kernels, cross, out=kernels))
+    return corr[:, :wp.L].flatten()

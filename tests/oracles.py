@@ -72,11 +72,7 @@ def dense_descent(z: np.ndarray, wp: WeightProfile, lam_j: float) -> np.ndarray:
 
 
 def gram_product_per_row(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndarray:
-    """(Q + Q^H) z with one inverse transform per kernel product: the reference bits.
-
-    Each product is spectrum times kernel on named 1-D arrays, so no operand
-    is a temporary that numpy could reuse in place.
-    """
+    """(Q + Q^H) z with one inverse transform per kernel product, mixed after."""
     f_x, f_y = f
     mu_r_rev = np.roll(mu[0][::-1], 1)
     nu_c = np.roll(mu[1][::-1], 1)

@@ -290,6 +290,10 @@ MALFORMED_ARCHIVES = {
     "non_integer_z": lambda doc: doc.update(Z=7.5),
     "z_above_l": lambda doc: doc.update(Z=17),
     "future_format_version": lambda doc: doc.update(format_version=99),
+    "boolean_entry": lambda doc: _set_entry(doc, [True, False]),
+    "integer_beyond_float_entry": lambda doc: _set_entry(doc, [10 ** 400, 0]),
+    # finite, but its correlations overflow
+    "overflowing_entry": lambda doc: _set_entry(doc, [1e308, -1e308]),
 }
 
 
@@ -325,15 +329,42 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
      "--out-prefix", "{d}/e"],
+    ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "inf",
+     "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
         "target-negative", "target-nan", "target-inf", "tol-inf", "seed-negative",
-        "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
+        "doppler-samples-0", "doppler-max-nan", "doppler-max-inf", "siso-pri-0",
+        "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, argv):
     assert main([a.format(d=tmp_path) for a in argv]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--pair", "{d}/big.json", "--out-prefix", "{d}/e"],
+    ["compare", "--pair", "{d}/big.json", "--pair", "golay:16"],
+    ["evaluate", "--pair", "golay:16", "--doppler-max", "inf", "--out-prefix", "{d}/e"],
+], ids=["evaluate-overflow", "compare-overflow", "doppler-max-inf"])
+def test_rejection_prints_only_the_error_line(tmp_path, argv):
+    # Run as a user does, outside pytest's warning filter, so that a numpy
+    # RuntimeWarning would reach stderr instead of raising.
+    import subprocess
+    import sys
+
+    path = tmp_path / "big.json"
+    write_archive(str(path), golay_pair(16), SolverConfig(L=16, Z=8), metrics={})
+    doc = json.loads(path.read_text())
+    doc["x"] = [[1e308, -1e308]] * 16
+    path.write_text(json.dumps(doc))
+    res = subprocess.run([sys.executable, "-m", "qozcp", *[a.format(d=tmp_path) for a in argv]],
+                         capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert res.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
 def test_missing_output_directory_exits_2_before_work(tmp_path, monkeypatch):
