@@ -11,7 +11,6 @@ import numpy as np
 from qozcp import (
     DelayDopplerGrid,
     SolverConfig,
-    WeightProfile,
     ambiguity_surface,
     golay_pair,
     ptm_a_schedule,
@@ -40,8 +39,7 @@ def main():
     print(f"\nmax |CAF| over |k| < 30, theta in [0, 3]: "
           f"{np.max(caf.modulus()):.3e}")
 
-    wp = WeightProfile.indicator(64, 30)
-    baseline = zone_metrics(golay_pair(64), wp)
+    baseline = zone_metrics(golay_pair(64), 30)
     print(f"same metric for the Golay baseline:        "
           f"{baseline.max_caf_omega2:.3e}")
 

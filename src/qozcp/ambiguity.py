@@ -8,17 +8,17 @@ is the Doppler-phased sum of per-PRI correlations,
 auto-ambiguity when both rows coincide and cross-ambiguity otherwise.
 Per-PRI correlations are computed with the FFT path once per distinct cell
 pair (a_n, b_n) -- three for a PTM-A surface and two for PTM-SISO, whatever
-the number of PRIs -- and reused for every PRI and Doppler sample.  The
-sign, reversal and conjugation identities between the cells are not
-encoded; the tests compare the stack with one materialized correlation per
-PRI.
+the number of PRIs -- in one stacked call per surface, and reused for every
+PRI and Doppler sample.  The sign, reversal and conjugation identities
+between the cells are not encoded; the tests compare the stack with one
+materialized correlation per PRI.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequencePair, WeightProfile
+from .sequences import SequencePair
 from .spectral import correlations_from_spectra, cross_correlation_fft, forward_spectrum
 from .waveform import TransmitSchedule, materialize, ptm, ptm_a_schedule, prouhet_partition_sums
 
@@ -101,17 +101,16 @@ def _per_pri_correlations(schedule: TransmitSchedule, row_a: int, row_b: int) ->
     """Stack of C_{a_n, b_n}(k) lag vectors, one row per PRI.
 
     Each distinct cell pair (a_n, b_n) is correlated once, at the first PRI
-    that carries it; the stack repeats those rows.
+    that carries it, all of them in one stacked call; the stack repeats
+    those rows.
     """
     cells = list(zip(schedule.assignments[row_a], schedule.assignments[row_b]))
     first: dict = {}
     for n, cell in enumerate(cells):
         first.setdefault(cell, n)
-    distinct = np.stack([
-        cross_correlation_fft(materialize(schedule, row_a, n),
-                              materialize(schedule, row_b, n))
-        for n in first.values()
-    ])
+    pris = list(first.values())
+    distinct = cross_correlation_fft(np.stack([materialize(schedule, row_a, n) for n in pris]),
+                                     np.stack([materialize(schedule, row_b, n) for n in pris]))
     slot = {cell: i for i, cell in enumerate(first)}
     return distinct[[slot[cell] for cell in cells]]
 
@@ -166,16 +165,18 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
     return reports
 
 
-def zone_metrics(pair: SequencePair, wp: WeightProfile,
+def zone_metrics(pair: SequencePair, Z: int,
                  schedule: TransmitSchedule | None = None) -> MetricsReport:
     """Zone maxima of the pair correlations and the V/H ambiguity surfaces.
 
-    The evaluation regions are the tabulated ones: delays inside the zone,
-    Doppler spans [0, 0.1] for the auto surface and [0, 3] for the cross
-    surface, with an 8-PRI two-row schedule unless one is given.  The pair
-    correlations come from the same FFT path as the solver's objective.
+    The evaluation regions are the tabulated ones: delays |k| < Z inside the
+    zone, 1 < Z <= L, Doppler spans [0, 0.1] for the auto surface and [0, 3]
+    for the cross surface, with an 8-PRI two-row schedule unless one is
+    given.  The pair correlations come from the same FFT path as the
+    solver's objective.
     """
-    Z = wp.Z
+    if not 1 < Z <= pair.length:
+        raise ValueError("zone must satisfy 1 < Z <= L")
     if schedule is None:
         schedule = ptm_a_schedule(pair, 8)
 

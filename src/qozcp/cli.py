@@ -8,10 +8,10 @@ Exit codes: 0 success, 2 usage or data error, 1 internal failure.  A pair
 whose correlations overflow the float range is a data error.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
 relative output paths.  Before any work, each output's directory must be
-writable and no output path may name an existing directory.  Every output is
-written to a temporary file in its directory that replaces the target only
-once complete; ``evaluate`` replaces its tables and metrics together, after
-all of them are written.
+writable and no output path may be empty or name an existing directory.
+Every output is written to a temporary file in its directory that replaces
+the target only once complete; ``evaluate`` replaces its tables and metrics
+together, after all of them are written.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from .ambiguity import (
     ambiguity_surface,
     zone_metrics,
 )
-from .sequences import SequencePair, WeightProfile
+from .sequences import SequencePair
 from .solver import SolverConfig, solve
 from .waveform import TransmitSchedule, golay_pair, ptm_a_schedule, siso_schedule
 
@@ -44,7 +44,7 @@ class UsageError(Exception):
 
 def _resolve_out(path: str, suffixes=("",)) -> str:
     """Apply ``QOZCP_OUT_DIR``, check that the output directory is writable
-    and that no output ``path + suffix`` is an existing directory."""
+    and that no output ``path + suffix`` is empty or an existing directory."""
     base = os.environ.get("QOZCP_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -52,6 +52,8 @@ def _resolve_out(path: str, suffixes=("",)) -> str:
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise UsageError(f"output directory {directory!r} is missing or not writable")
     for target in (path + suffix for suffix in suffixes):
+        if not target:
+            raise UsageError("output path is empty")
         if os.path.isdir(target):
             raise UsageError(f"output {target!r} is a directory")
     return path
@@ -198,7 +200,7 @@ def _require_finite(ref: str, values) -> None:
 
 
 def _pair_metrics(pair: SequencePair, Z: int, schedule: TransmitSchedule | None = None) -> dict:
-    report = zone_metrics(pair, WeightProfile.indicator(pair.length, Z), schedule=schedule)
+    report = zone_metrics(pair, Z, schedule=schedule)
     out = asdict(report)
     if report.peak_value > 0:
         out["max_aaf_sidelobe_omega1_normalized"] = (

@@ -49,7 +49,7 @@ every lag vector holds only the lags |k| < ``reach``: the objective, the
 entry bound, the kernels and the target stop read nothing else.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,19 +81,24 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """All knobs of the design run."""
+    """All knobs of the design run.
+
+    Two fields are derived, not passed: the energy budget ``p_e`` is L, and
+    ``weights`` is the zone-indicator profile
+    ``WeightProfile.indicator(L, Z, alpha)``.
+    """
 
     L: int
     Z: int
     alpha: float = 0.5
     mode: str = "papr"            # "papr" or "unimodular"
-    p_e: float | None = None      # energy budget, defaults to L
     p_r: float = 5.0              # PAPR cap, 1 in unimodular mode
     max_iter: int = 200_000
     tol: float = 1e-14
     target: float | None = None   # in-zone maxima bound, defaults to 1e-11 * 2 p_e
     seed: int = 0
-    weights: WeightProfile | None = None
+    p_e: float = field(init=False)
+    weights: WeightProfile = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("papr", "unimodular"):
@@ -109,30 +114,15 @@ class SolverConfig:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.mode == "unimodular":
-            if self.p_e not in (None, self.L):
-                raise ValueError("p_e must be L in unimodular mode")
-            # |z_l| = 1 forces the budget L and the cap p_c = 1.
-            self.p_e, self.p_r = float(self.L), 1.0
-        elif self.p_e is None:
-            self.p_e = float(self.L)
-        if not 0.0 < self.p_e <= self.L:
-            raise ValueError("p_e must lie in (0, L]")
+            # |z_l| = 1 forces the cap p_c = 1.
+            self.p_r = 1.0
+        self.p_e = float(self.L)
         if self.target is None:
             # 1e-11 of the zero-lag peak 2 p_e of C_x + C_y.
             self.target = 1e-11 * 2.0 * self.p_e
         if not 1.0 <= self.p_r <= self.L:
             raise ValueError("p_r must lie in [1, L]")
-        if self.weights is None:
-            self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
-        if self.weights.L != self.L:
-            raise ValueError("weight profile length does not match L")
-        if self.weights.alpha != self.alpha:
-            raise ValueError("weight profile alpha does not match alpha")
-        if self.weights.reach < self.Z:
-            # The target stop reads lags |k| < Z, and the lag vectors hold
-            # only the lags below the profile's reach.  Widening the
-            # profile's zone keeps its weights, so the objective is the same.
-            self.weights = replace(self.weights, Z=self.Z)
+        self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
 
     @property
     def p_c(self) -> float:
@@ -225,8 +215,7 @@ def _majorant(rec: Iterate, wp: WeightProfile, lam_j: float) -> tuple[float, np.
 def descent_vector(rec: Iterate, wp: WeightProfile, lam_j: float) -> np.ndarray:
     """Direction P(z) = (2*lam_j*||z||^2 + lam_u) z - (Q + Q^H) z at z = rec.z.
 
-    The scalar generalizes the energy-specific constant so budgets below L
-    stay correct; maximizing Re{x^H P} over the feasible set is one
+    Maximizing Re{x^H P} over the feasible set is one
     majorization-minimization update.
     """
     scale, qz = _majorant(rec, wp, lam_j)
@@ -341,10 +330,7 @@ def _candidate(z_a: np.ndarray, config: SolverConfig, lam_j: float) -> Iterate:
     Unimodular mode takes the projection Proj(z_a) = :func:`_unit_phase`,
     the projected SQUAREM of unit-modulus sequence design (Song, Babu and
     Palomar, IEEE T-SP 2015): one evaluation.  PAPR mode takes one plain step
-    M(z_a): two evaluations and one MM update.  Its increments are
-    differences of rounded iterates, and with a projected candidate some
-    (64, 30) designs that reach the zone target in about 200 steps run to
-    1000 steps without reaching it.
+    M(z_a): two evaluations and one MM update.
     """
     wp = config.weights
     if config.mode == "unimodular":
@@ -426,8 +412,8 @@ def sdamm_step(state: SolverState, config: SolverConfig,
 
 def _initial_z(config: SolverConfig) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * config.L)
-    return np.sqrt(config.p_e / config.L) * np.exp(1j * phases)
+    # Unit modulus, so each row carries the energy p_e = L.
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2 * config.L))
 
 
 def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:

@@ -132,13 +132,13 @@ def _lag_correlation(product: np.ndarray, K: int | None = None) -> np.ndarray:
 
 
 def cross_correlation_fft(a, b) -> np.ndarray:
-    """Aperiodic cross-correlation of two length-L sequences via 2L-point FFTs.
+    """Aperiodic cross-correlation of length-L sequences via 2L-point FFTs.
 
-    Same lag-order layout and convention as the direct-sum oracle.
+    ``a`` and ``b`` are two sequences or two stacks of rows (..., L),
+    correlated row by row along the last axis.  Same lag-order layout and
+    convention as the direct-sum oracle.
     """
-    fa = forward_spectrum(a)
-    product = _scratch("products", fa.shape)
-    np.conjugate(fa, out=product)
+    product = np.conjugate(forward_spectrum(a))
     return _lag_correlation(np.multiply(product, forward_spectrum(b), out=product))
 
 

@@ -14,7 +14,7 @@ from qozcp.ambiguity import (
     taylor_coefficients,
     zone_metrics,
 )
-from qozcp.sequences import SequencePair, WeightProfile, complementary_sum, cross_correlation
+from qozcp.sequences import SequencePair, complementary_sum, cross_correlation
 from qozcp.waveform import golay_pair, ptm_a_schedule, siso_schedule
 
 from oracles import per_pri_correlations, random_pair
@@ -167,13 +167,20 @@ def test_taylor_zone_split():
 
 def test_zone_metrics_golay():
     pair = golay_pair(64)
-    wp = WeightProfile.indicator(64, 30)
-    m = zone_metrics(pair, wp)
+    m = zone_metrics(pair, 30)
     assert m.max_complementary_sidelobe_in_zone == pytest.approx(0.0, abs=1e-10)
     assert m.max_cross_correlation_in_zone > 1.0
     assert m.max_caf_omega2 >= 1.0
     assert m.peak_value == pytest.approx(512.0)
     assert m.max_aaf_sidelobe_omega1 < m.peak_value
+
+
+def test_zone_metrics_rejects_zone_out_of_range():
+    pair = golay_pair(16)
+    for bad in (-1, 0, 1, 17):
+        with pytest.raises(ValueError, match="zone"):
+            zone_metrics(pair, bad)
+    assert zone_metrics(pair, 16).peak_value == pytest.approx(128.0)
 
 
 def test_zone_metrics_default_grids():
@@ -186,15 +193,13 @@ def test_zone_metrics_default_grids():
 
 def test_zone_metrics_siso_has_no_cross_surface():
     pair = golay_pair(16)
-    wp = WeightProfile.indicator(16, 8)
-    m = zone_metrics(pair, wp, schedule=siso_schedule(pair, 8))
+    m = zone_metrics(pair, 8, schedule=siso_schedule(pair, 8))
     assert m.max_caf_omega2 == 0.0
 
 
 def test_zone_metrics_as_dict_round_trip():
     pair = golay_pair(16)
-    wp = WeightProfile.indicator(16, 8)
-    m = zone_metrics(pair, wp)
+    m = zone_metrics(pair, 8)
     d = asdict(m)
     assert set(d) == {
         "max_complementary_sidelobe_in_zone",
@@ -221,17 +226,18 @@ def test_per_pri_correlations_match_materialized_oracle(N):
 
 
 def test_correlations_run_once_per_distinct_cell(monkeypatch):
+    # One stacked call per surface, one row per distinct cell pair.
     calls = []
     fft_corr = qozcp.ambiguity.cross_correlation_fft
 
     def counting(x, y):
-        calls.append(1)
+        calls.append(len(x))
         return fft_corr(x, y)
 
     monkeypatch.setattr(qozcp.ambiguity, "cross_correlation_fft", counting)
     pair = _random_schedule_pair(22)
     grid = DelayDopplerGrid.zone(8, 3.0, 5)
-    for (sched, a, b), budget in zip(_schedule_surfaces(pair, 64), (3, 3, 2)):
+    for (sched, a, b), cells in zip(_schedule_surfaces(pair, 64), (3, 3, 2)):
         calls.clear()
         ambiguity_surface(sched, a, b, grid)
-        assert 1 <= len(calls) <= budget
+        assert calls == [cells]
