@@ -45,6 +45,8 @@ class UsageError(Exception):
 def _resolve_out(path: str, suffixes=("",)) -> str:
     """Apply ``QOZCP_OUT_DIR``, check that the output directory is writable
     and that no output ``path + suffix`` is empty or an existing directory."""
+    if not all(path + suffix for suffix in suffixes):
+        raise UsageError("output path is empty")
     base = os.environ.get("QOZCP_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
@@ -52,8 +54,6 @@ def _resolve_out(path: str, suffixes=("",)) -> str:
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise UsageError(f"output directory {directory!r} is missing or not writable")
     for target in (path + suffix for suffix in suffixes):
-        if not target:
-            raise UsageError("output path is empty")
         if os.path.isdir(target):
             raise UsageError(f"output {target!r} is a directory")
     return path
