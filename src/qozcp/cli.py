@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 usage or data error, 1 internal failure.  A pair
 whose correlations overflow the float range is a data error.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
 relative output paths.  Before any work, each output's directory must be
-writable and no output path may be empty or name an existing directory.
+writable, no output path or prefix may be empty and no output may name an
+existing directory.
 Every output is written to a temporary file in its directory that replaces
 the target only once complete; ``evaluate`` replaces its tables and metrics
 together, after all of them are written.
@@ -43,9 +44,10 @@ class UsageError(Exception):
 
 
 def _resolve_out(path: str, suffixes=("",)) -> str:
-    """Apply ``QOZCP_OUT_DIR``, check that the output directory is writable
-    and that no output ``path + suffix`` is empty or an existing directory."""
-    if not all(path + suffix for suffix in suffixes):
+    """Apply ``QOZCP_OUT_DIR``, check that ``path`` is not empty, that the
+    output directory is writable and that no output ``path + suffix`` is an
+    existing directory."""
+    if not path:
         raise UsageError("output path is empty")
     base = os.environ.get("QOZCP_OUT_DIR")
     if base and not os.path.isabs(path):

@@ -221,6 +221,6 @@ def objective_from_correlations(r: np.ndarray, c: np.ndarray, wp: WeightProfile)
     h = r.size // 2
     lags = slice(wp.L - 1 - h, wp.L + h)
     # w[0] == 0 removes the k = 0 peak from the complementary half.
-    auto_term = float(np.sum(full_w[lags] * np.abs(r) ** 2))
-    cross_term = float(np.sum(full_wt[lags] * np.abs(c) ** 2))
+    auto_term = float((full_w[lags] * np.abs(r) ** 2).sum())
+    cross_term = float((full_wt[lags] * np.abs(c) ** 2).sum())
     return wp.alpha * auto_term + (1.0 - wp.alpha) * cross_term

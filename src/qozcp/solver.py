@@ -6,9 +6,10 @@ the banded matrix Q), leaving two independent per-sequence linear problems
 max Re{x^H (s z - q)}, with q = (Q + Q^H) z and s the majorizer's scale,
 whose maximizers are closed-form.  :func:`_mm_update` dispatches the plain
 step on the feasible set: unit modulus takes the phase alignment of
-:func:`_phase_update`, and PAPR mode water-fills each row of the descent
-vector s z - q with :func:`proj_papr` (one sort plus suffix sums) under the
-energy budget and per-entry cap.  The fixed-point map is accelerated with an
+:func:`_phase_update`, and PAPR mode water-fills the rows x and y of the
+descent vector s z - q under the energy budget and per-entry cap, both in
+one :func:`proj_papr` call on the (2, L) stack (one sort plus suffix sums
+along the rows).  The fixed-point map is accelerated with an
 extrapolated step and objective-guarded backtracking (SQUAREM: Varadhan and
 Roland, Scand. J. Stat. 2008), whose step length -||v1|| / ||v2|| reads the
 first and second differences of two plain steps.  :func:`_candidate`, the
@@ -49,6 +50,7 @@ every lag vector holds only the lags |k| < ``reach``: the objective, the
 entry bound, the kernels and the target stop read nothing else.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -192,8 +194,8 @@ def lambda_u(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> float:
     ``r`` and ``c`` hold the lags |k| < ``wp.reach``.
     """
     full_w, full_wt = wp.symmetric()
-    auto_max = wp.alpha * float(np.max(full_w[wp.band] * np.abs(r)))
-    cross_max = (1.0 - wp.alpha) * float(np.max(full_wt[wp.band] * np.abs(c)))
+    auto_max = wp.alpha * float((full_w[wp.band] * np.abs(r)).max())
+    cross_max = (1.0 - wp.alpha) * float((full_wt[wp.band] * np.abs(c)).max())
     return 4.0 * wp.L * max(auto_max, cross_max)
 
 
@@ -233,29 +235,46 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
     first s with delta_s * a_s <= p_c, which exists whenever the nonzero
     entries can carry the budget.  If they cannot, they all saturate and the
     residual energy spreads uniformly over the zero entries with phase 0.
-    Cost is one sort, O(L log L).
+
+    ``v`` is one sequence or a stack (..., L) of rows, each water-filled on
+    its own in the same pass: one sort, one suffix sum and one search along
+    the last axis, O(L log L) per row.  A row's zero entries sort first and
+    add nothing to the suffix sums, so every row gets the bits a call on it
+    alone gives.
     """
     v = np.asarray(v, dtype=np.complex128)
-    L = v.size
+    L = v.shape[-1]
     if p_c ** 2 * L < p_e * (1.0 - 1e-12):
         raise ValueError("infeasible: p_c^2 * L < p_e")
-    mags = np.abs(v)
-    nonzero = mags > 0.0
-    m = int(np.count_nonzero(nonzero))
-    # Entry l saturates once its gain reaches p_c / |v_l|.
-    cap = np.divide(p_c, mags, out=np.full(L, np.inf), where=nonzero)
-    if m * p_c ** 2 <= p_e:
-        # Every nonzero entry saturates; remaining energy fills the zeros.
-        fill = np.sqrt(max(p_e - m * p_c ** 2, 0.0) / (L - m)) if m < L else 0.0
-        return np.multiply(v, cap, out=np.full(L, fill, dtype=np.complex128), where=nonzero)
-    # Magnitudes scaled by the peak so that their squares stay finite.
-    peak = float(mags.max())
-    ascending = (np.sort(mags[nonzero]) / peak) ** 2
-    a2 = ascending[::-1]
-    tail = np.cumsum(ascending)[::-1]             # tail[s] = sum(a2[s:])
-    delta2 = (p_e - np.arange(m) * p_c ** 2) / tail
-    s = int(np.argmax(delta2 * a2 <= p_c ** 2))
-    return v * np.minimum(np.sqrt(delta2[s]) / peak, cap)
+    rows = v.reshape(-1, L)
+    mags = np.abs(rows)
+    ascending = np.sort(mags)                   # a row's zeros sort first
+    peak = ascending[:, -1:]
+    # A row with m nonzero entries saturates them all if m p_c^2 <= p_e.
+    some_spread = L * p_c ** 2 <= p_e or not ascending[:, 0].all()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Entry l saturates once its gain reaches p_c / |v_l|, never if v_l = 0.
+        cap = p_c / mags
+        # Magnitudes scaled by the peak so that their squares stay finite.
+        ascending = (ascending / peak) ** 2
+        a2 = ascending[:, ::-1]
+        tail = ascending.cumsum(axis=-1)[:, ::-1]     # tail[s] = sum(a2[s:])
+        # Past a row's nonzero entries a2 and tail are 0, so delta2 * a2 is
+        # NaN and the search passes them by.
+        delta2 = (p_e - np.arange(L) * p_c ** 2) / tail
+        s = (delta2 * a2 <= p_c ** 2).argmax(axis=-1)
+        gain = np.sqrt(delta2[np.arange(s.size), s])[:, None] / peak
+        out = rows * np.minimum(gain, cap)
+    if some_spread:
+        # Those rows keep every nonzero entry at the cap, and the remaining
+        # energy fills their zeros; an all-zero row is one of them.
+        m = (mags > 0.0).sum(axis=-1)
+        spread = m * p_c ** 2 <= p_e
+        m = m[spread, None]
+        fill = np.sqrt(np.maximum(p_e - m * p_c ** 2, 0.0) / np.maximum(L - m, 1))
+        out[spread] = np.multiply(rows[spread], cap[spread], where=mags[spread] > 0.0,
+                                  out=np.broadcast_to(fill, (m.size, L)).astype(np.complex128))
+    return out.reshape(v.shape)
 
 
 def _unit_phase(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +333,13 @@ def _mm_update(rec: Iterate, config: SolverConfig, lam_j: float) -> tuple[np.nda
 
     Unimodular mode aligns phases with :func:`_phase_update`, which forms
     the increment from s and q apart.  PAPR mode water-fills the x and y
-    rows of the descent vector with :func:`proj_papr` independently, and
-    the increment is the difference of the two iterates.
+    rows of the descent vector with one :func:`proj_papr` call on the
+    (2, L) stack, and the increment is the difference of the two iterates.
     """
     if config.mode == "unimodular":
         return _phase_update(rec.z, *_majorant(rec, config.weights, lam_j))
     v = descent_vector(rec, config.weights, lam_j).reshape(2, config.L)
-    z_new = np.concatenate([proj_papr(row, config.p_e, config.p_c) for row in v])
+    z_new = proj_papr(v, config.p_e, config.p_c).reshape(-1)
     return z_new, z_new - rec.z
 
 
@@ -336,6 +355,13 @@ def _candidate(z_a: np.ndarray, config: SolverConfig, lam_j: float) -> Iterate:
     if config.mode == "unimodular":
         return _evaluate(_unit_phase(z_a)[0], wp)
     return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j)[0], wp)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector from the two real dots that
+    ``np.linalg.norm`` takes, with the same bits and without its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def sdamm_step(state: SolverState, config: SolverConfig,
@@ -372,7 +398,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     rec1 = _evaluate(z1, wp)
     z2, v2 = _mm_update(rec1, config, lam_j)
     v2 -= v1
-    norm_v2 = float(np.linalg.norm(v2))
+    norm_v2 = _norm(v2)
     backtracks = 0
 
     def accelerated(a: float) -> Iterate:
@@ -385,7 +411,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
         rec_next = rec1
         alpha_sl = -1.0
     else:
-        alpha_sl = min(-float(np.linalg.norm(v1)) / norm_v2, -1.0)
+        alpha_sl = min(-_norm(v1) / norm_v2, -1.0)
         rec_next = accelerated(alpha_sl)
         while rec_next.objective > obj_t:
             backtracks += 1

@@ -40,7 +40,6 @@ __all__ = [
     "correlations_from_spectra",
     "weighted_spectra",
     "gram_product",
-    "lag_to_fft_order",
     "fft_to_lag_order",
 ]
 
@@ -81,31 +80,16 @@ def forward_spectrum(x, n: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim <= 1:
         x = as_sequence(x)
-    elif not np.all(np.isfinite(x)):
+    elif not np.isfinite(x).all():
         raise ValueError("sequence entries must be finite")
     return np.fft.fft(x, n=2 * x.shape[-1] if n is None else n)
-
-
-def lag_to_fft_order(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Place lag vectors (k = -(K-1)..K-1) at index k mod n, zeros elsewhere.
-
-    ``n`` defaults to 2K and must be at least 2K - 1.
-    """
-    K = (v.shape[-1] + 1) // 2
-    if n is None:
-        n = 2 * K
-    out = np.zeros(v.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :K] = v[..., K - 1:]              # k = 0 .. K-1
-    out[..., n - K + 1:] = v[..., :K - 1]      # k = 1-K .. -1
-    return out
 
 
 def fft_to_lag_order(v: np.ndarray, K: int | None = None) -> np.ndarray:
     """Lag vectors (k = -(K-1)..K-1) read from n-point FFT-order vectors.
 
     Lag k is read at index k mod n, so ``n`` must be at least 2K - 1.  ``K``
-    defaults to n // 2, which makes this the inverse of
-    :func:`lag_to_fft_order` and drops the zero padding slot.
+    defaults to n // 2, which at n = 2K drops the one zero padding slot.
     """
     n = v.shape[-1]
     if K is None:
@@ -176,8 +160,14 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     transform length is the profile's ``n_fft``.
     """
     full_w, full_wt = wp.symmetric()
-    band = wp.band
-    mu = lag_to_fft_order(np.stack([full_w[band] * r, full_wt[band] * c]), wp.n_fft)
+    K, n = wp.reach, wp.n_fft
+    # Lag k goes to index k mod n: lags 0 .. K-1 lead, 1-K .. -1 close the row.
+    ahead, behind = slice(wp.L - 1, wp.L - 1 + K), slice(wp.L - K, wp.L - 1)
+    mu = np.zeros((2, n), dtype=np.complex128)
+    np.multiply(full_w[ahead], r[K - 1:], out=mu[0, :K])
+    np.multiply(full_w[behind], r[:K - 1], out=mu[0, n - K + 1:])
+    np.multiply(full_wt[ahead], c[K - 1:], out=mu[1, :K])
+    np.multiply(full_wt[behind], c[:K - 1], out=mu[1, n - K + 1:])
     return _in_place(np.fft.fft, mu)
 
 
@@ -202,7 +192,8 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     rows = _scratch("kernels", (4, f.shape[-1]))
     kernels, cross = rows[:2], rows[2:]
     _rev(mu, out=kernels)
-    np.multiply(kernels, [[2.0 * wp.alpha], [1.0 - wp.alpha]], out=kernels)
+    kernels[0] *= 2.0 * wp.alpha
+    kernels[1] *= 1.0 - wp.alpha
     np.multiply(f[1], kernels[1], out=cross[0])
     np.conjugate(kernels[1], out=cross[1])
     np.multiply(f[0], cross[1], out=cross[1])

@@ -86,6 +86,27 @@ def gram_product_per_row(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) ->
     return np.concatenate([top, bottom])
 
 
+def lag_to_fft_order(v: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Place lag vectors (k = -(K-1)..K-1) at index k mod n, zeros elsewhere.
+
+    ``n`` defaults to 2K and must be at least 2K - 1.
+    """
+    K = (v.shape[-1] + 1) // 2
+    if n is None:
+        n = 2 * K
+    out = np.zeros(v.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :K] = v[..., K - 1:]              # k = 0 .. K-1
+    out[..., n - K + 1:] = v[..., :K - 1]      # k = 1-K .. -1
+    return out
+
+
+def weighted_spectra_stacked(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndarray:
+    """Spectra of the weighted band lags, stacked and reordered before one transform."""
+    full_w, full_wt = wp.symmetric()
+    weighted = np.stack([full_w[wp.band] * r, full_wt[wp.band] * c])
+    return np.fft.fft(lag_to_fft_order(weighted, wp.n_fft))
+
+
 def proj_unimodular(v: np.ndarray) -> np.ndarray:
     """Entry-wise unit-modulus maximizer of Re{x^H v} by angle and exp; zeros map to 1.
 

@@ -326,6 +326,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["design", "--length", "16", "--zone", "8", "--tol", "inf", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--seed", "-1", "--out", "{d}/a.json"],
     ["design", "--length", "16", "--zone", "8", "--out", ""],
+    ["evaluate", "--pair", "golay:16", "--zone", "8", "--out-prefix", ""],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-samples", "0",
      "--out-prefix", "{d}/e"],
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "nan",
@@ -335,7 +336,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
         "target-negative", "target-nan", "target-inf", "tol-inf", "seed-negative", "out-empty",
-        "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
+        "out-prefix-empty", "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
 def test_bad_flags_exit_2(tmp_path, monkeypatch, argv):
     # An empty output path would resolve in the working directory.
     monkeypatch.chdir(tmp_path)

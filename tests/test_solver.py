@@ -17,6 +17,7 @@ from qozcp.solver import (
     SolverState,
     _evaluate,
     _mm_update,
+    _norm,
     _phase_update,
     descent_vector,
     lambda_j,
@@ -312,6 +313,72 @@ def test_proj_papr_matches_bisection_oracle():
         out = proj_papr(v, p_e, p_c)
         assert np.max(np.abs(out - proj_papr_bisect(v, p_e, p_c))) <= 1e-14 * p_c
     assert all(cases.values()), cases
+
+
+def _stack_rows(rng, kinds, L, p_e, p_c):
+    """Rows of the named kinds: water-filled, with zeros, all saturated, all zero."""
+    rows = []
+    for kind in kinds:
+        v = _heavy_tailed(rng, L)
+        if kind == "zeros":
+            v[rng.random(L) < 0.3] = 0.0
+            v[0] = 1.0
+        elif kind == "saturated":
+            # Too few nonzero entries to carry p_e: all sit at the cap.
+            keep = max(1, int(p_e / p_c ** 2) - 1)
+            v[keep:] = 0.0
+        elif kind == "empty":
+            v[:] = 0.0
+        rows.append(v)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("kinds", [
+    ("plain", "plain"),
+    ("zeros", "plain"),
+    ("saturated", "zeros"),
+    ("plain", "saturated", "zeros"),
+    ("saturated", "empty", "plain"),
+], ids="-".join)
+def test_proj_papr_stack_equals_per_row_calls(kinds):
+    # One call water-fills every row of a (..., L) stack with the bits of a
+    # call on each row alone, whichever branch each row takes.
+    rng = np.random.default_rng(len(kinds))
+    for L in (2, 7, 64):
+        p_e = float(L)
+        p_c = np.sqrt(5.0) if L > 2 else 1.2
+        v = _stack_rows(rng, kinds, L, p_e, p_c)
+        out = proj_papr(v, p_e, p_c)
+        assert out.shape == v.shape
+        assert np.array_equal(out, np.stack([proj_papr(row, p_e, p_c) for row in v]))
+        nested = proj_papr(np.stack([v, v[::-1]]), p_e, p_c)
+        assert np.array_equal(nested, np.stack([out, out[::-1]]))
+        # every row, whatever its branch, is feasible
+        assert np.allclose(np.sum(np.abs(out) ** 2, axis=-1), p_e, rtol=1e-12)
+        assert np.max(np.abs(out)) <= p_c * (1.0 + 1e-12)
+
+
+def test_proj_papr_stacked_matches_bisection_oracle():
+    rng = np.random.default_rng(16)
+    kinds = ("plain", "zeros", "saturated", "empty")
+    for trial in range(100):
+        L = int(rng.integers(2, 200))
+        p_e = float(rng.uniform(0.5, L))
+        p_c = float(np.sqrt(rng.uniform(1.0, L) * p_e / L))
+        v = _stack_rows(rng, rng.choice(kinds, size=int(rng.integers(2, 4))), L, p_e, p_c)
+        out = proj_papr(v, p_e, p_c)
+        for row, got in zip(v, out):
+            assert np.max(np.abs(got - proj_papr_bisect(row, p_e, p_c))) <= 1e-14 * p_c
+
+
+def test_norm_has_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(17)
+    for L in (1, 2, 63, 128, 4096, 8192):
+        for scale in (1e-160, 1e-13, 1.0, 1e150):
+            v = scale * (rng.normal(size=L) + 1j * rng.normal(size=L))
+            assert _norm(v) == float(np.linalg.norm(v))
+            assert _norm(v[::2]) == float(np.linalg.norm(v[::2]))
+    assert _norm(np.zeros(4, dtype=complex)) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

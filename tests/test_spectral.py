@@ -17,11 +17,16 @@ from qozcp.spectral import (
     fft_to_lag_order,
     forward_spectrum,
     gram_product,
-    lag_to_fft_order,
     weighted_spectra,
 )
 
-from oracles import dense_q, gram_product_per_row, random_pair
+from oracles import (
+    dense_q,
+    gram_product_per_row,
+    lag_to_fft_order,
+    random_pair,
+    weighted_spectra_stacked,
+)
 
 
 @pytest.mark.parametrize("L", [2, 3, 8, 16, 64, 127])
@@ -132,6 +137,21 @@ def test_gram_product_nonindicator_weights():
         fast = gram_product(mu, forward_spectrum(np.stack([x, y]), wp.n_fft), wp)
         Q = dense_q(z, wp)
         assert np.max(np.abs(fast - (Q + Q.conj().T) @ z)) < 1e-9
+
+
+@pytest.mark.parametrize("L, Z", [(8, 8), (12, 3), (64, 30), (64, 10), (4096, 256)])
+def test_weighted_spectra_equal_the_stacked_reference(L, Z):
+    # The band lags are weighted straight into FFT order; the reference
+    # stacks them, reorders the stack and transforms it: the same bits.
+    rng = np.random.default_rng(L + Z)
+    x, y = random_pair(rng, L)
+    r, c = correlations_via_fft(SequencePair(x, y))
+    for wp in (WeightProfile.indicator(L, Z, 0.3),
+               WeightProfile(Z=Z, w=np.r_[0.0, rng.uniform(0.1, 2.0, L - 1)],
+                             w_tilde=rng.uniform(0.1, 2.0, L), alpha=0.6)):
+        band_r, band_c = r[wp.band], c[wp.band]
+        assert np.array_equal(weighted_spectra(band_r, band_c, wp),
+                              weighted_spectra_stacked(band_r, band_c, wp))
 
 
 def test_quadratic_form_reproduces_objective_terms():
