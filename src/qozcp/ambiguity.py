@@ -1,17 +1,19 @@
 """Delay-Doppler evaluation of transmit schedules.
 
-The ambiguity value at delay k and Doppler increment theta (radians per PRI)
-is the Doppler-phased sum of per-PRI correlations,
+A cell is the pair of variants (a_n, b_n) that PRI n sends on the two rows; a
+Thue-Morse schedule has at most three distinct cells.  The ambiguity value at
+delay k and Doppler increment theta (radians per PRI), auto-ambiguity when both
+rows coincide and cross-ambiguity otherwise, and its order-m Doppler Taylor
+coefficient are sums over the cells,
 
-    g(k, theta) = sum_n exp(j n theta) * C_{a_n, b_n}(k),
+    g(k, theta) = sum_cells C_cell(k) * sum_{n in cell} exp(j n theta),
+    g_m(k)      = sum_cells C_cell(k) * sum_{n in cell} n^m.
 
-auto-ambiguity when both rows coincide and cross-ambiguity otherwise.
-Per-PRI correlations are computed with the FFT path once per distinct cell
-pair (a_n, b_n) -- three for a PTM-A surface and two for PTM-SISO, whatever
-the number of PRIs -- in one stacked call per surface, and reused for every
-PRI and Doppler sample.  The sign, reversal and conjugation identities
-between the cells are not encoded; the tests compare the stack with one
-materialized correlation per PRI.
+Added up by Thue-Morse bit, the per-cell power sums are the Prouhet sums; they
+agree for every m <= M over 2^(M+1) PRIs, and that equality is the Doppler
+cancellation through order M (Pezeshki, Calderbank, Moran and Howard, IEEE
+T-IT 2008).  Each distinct cell is correlated once, in one stacked FFT call;
+the tests, not the code, hold the identities between the cells.
 """
 
 from dataclasses import dataclass
@@ -46,8 +48,15 @@ class DelayDopplerGrid:
     dopplers: np.ndarray
 
     def __post_init__(self):
-        self.delays = np.asarray(self.delays, dtype=np.int64)
+        delays = np.asarray(self.delays)
         self.dopplers = np.asarray(self.dopplers, dtype=np.float64)
+        if delays.ndim != 1 or self.dopplers.ndim != 1:
+            raise ValueError("delays and dopplers must be 1-D")
+        # NaN, inf, fractions and values past int64 all fail the round trip.
+        with np.errstate(invalid="ignore"):
+            self.delays = delays.astype(np.int64)
+        if not np.array_equal(self.delays, delays):
+            raise ValueError("delays must be integers")
         if self.dopplers.size == 0:
             raise ValueError("doppler list must be non-empty")
         if not np.all(np.isfinite(self.dopplers)):
@@ -97,38 +106,38 @@ class MetricsReport:
     peak_value: float
 
 
-def _per_pri_correlations(schedule: TransmitSchedule, row_a: int, row_b: int) -> np.ndarray:
-    """Stack of C_{a_n, b_n}(k) lag vectors, one row per PRI.
+def _cell_sum(schedule: TransmitSchedule, row_a: int, row_b: int,
+              weights: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """sum_n C_{a_n, b_n}(k) * weights[:, n] as one term per cell, lags x columns.
 
-    Each distinct cell pair (a_n, b_n) is correlated once, at the first PRI
-    that carries it, all of them in one stacked call; the stack repeats
-    those rows.
+    ``weights`` has one column per PRI; a cell's weight is the sum of its
+    PRIs' columns, gathered contiguously so that numpy sums them pairwise.
+    Each distinct cell is correlated once, at the first PRI that carries it,
+    all of them in one stacked call.
     """
+    if not (0 <= row_a < schedule.rows and 0 <= row_b < schedule.rows):
+        raise ValueError("schedule row out of range")
     cells = list(zip(schedule.assignments[row_a], schedule.assignments[row_b]))
-    first: dict = {}
-    for n, cell in enumerate(cells):
-        first.setdefault(cell, n)
-    pris = list(first.values())
-    distinct = cross_correlation_fft(np.stack([materialize(schedule, row_a, n) for n in pris]),
-                                     np.stack([materialize(schedule, row_b, n) for n in pris]))
-    slot = {cell: i for i, cell in enumerate(first)}
-    return distinct[[slot[cell] for cell in cells]]
+    slot: dict = {}
+    index = np.array([slot.setdefault(cell, len(slot)) for cell in cells])
+    first = [cells.index(cell) for cell in slot]
+    corr = cross_correlation_fft(np.stack([materialize(schedule, row_a, n) for n in first]),
+                                 np.stack([materialize(schedule, row_b, n) for n in first]))
+    cell_weights = np.stack([weights.compress(index == i, axis=1).sum(axis=1)
+                             for i in range(len(first))])
+    # One broadcast product summed over the cells: no matrix product, so no BLAS threads.
+    corr = corr[:, lags + (schedule.pair.length - 1), None]
+    return (corr * cell_weights[:, None, :]).sum(axis=0)
 
 
 def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
                       grid: DelayDopplerGrid) -> AmbiguitySurface:
     """Evaluate the (auto- or cross-) ambiguity surface over the grid."""
-    L = schedule.pair.length
-    if np.any(np.abs(grid.delays) > L - 1):
+    if np.any(np.abs(grid.delays) > schedule.pair.length - 1):
         raise ValueError("grid delay exceeds L-1")
-    rows = grid.delays + (L - 1)
-    # Only the grid's lags are kept, and the phases are exponentiated in
-    # place, so the N x (2L-1) stack and a second N x D array never coexist.
-    corr = _per_pri_correlations(schedule, row_a, row_b)[:, rows]
-    n = np.arange(schedule.n_pri)
-    phases = 1j * np.outer(n, grid.dopplers)
+    phases = 1j * np.outer(grid.dopplers, np.arange(schedule.n_pri))
     np.exp(phases, out=phases)
-    values = corr.T @ phases
+    values = _cell_sum(schedule, row_a, row_b, phases, grid.delays)
     return AmbiguitySurface(grid=grid, values=values)
 
 
@@ -137,23 +146,24 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
     """Lag-domain Doppler Taylor coefficients sum_n n^m C_{a_n, b_n}(k).
 
     ``beta_m`` is the shared power sum of the Thue-Morse index classes.  The
-    zone split uses Z when given (full range otherwise); the zero lag is
-    excluded from the in-zone maximum for auto surfaces only.
+    zone split uses Z when given, 1 < Z <= L (full range otherwise); the zero
+    lag is excluded from the in-zone maximum for auto surfaces only.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     L = schedule.pair.length
-    corr = _per_pri_correlations(schedule, row_a, row_b)
-    bits = ptm(schedule.n_pri)
-    lags = np.arange(-(L - 1), L)
     zone = L if Z is None else Z
+    if not 1 < zone <= L:
+        raise ValueError("zone must satisfy 1 < Z <= L")
+    lags = np.arange(-(L - 1), L)
+    n_pow = np.arange(schedule.n_pri, dtype=np.float64) ** np.arange(m_max + 1)[:, None]
+    vecs = _cell_sum(schedule, row_a, row_b, n_pow, lags)
+    bits = ptm(schedule.n_pri)
     in_zone = np.abs(lags) < zone
     if row_a == row_b:
         in_zone &= lags != 0
     reports = []
-    for m in range(m_max + 1):
-        n_pow = np.arange(schedule.n_pri, dtype=np.float64) ** m
-        vec = n_pow @ corr
+    for m, vec in enumerate(vecs.T):
         _, beta_m = prouhet_partition_sums(bits, m)
         reports.append(TaylorReport(
             order=m,

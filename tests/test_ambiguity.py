@@ -15,7 +15,7 @@ from qozcp.ambiguity import (
     zone_metrics,
 )
 from qozcp.sequences import SequencePair, complementary_sum, cross_correlation
-from qozcp.waveform import golay_pair, ptm_a_schedule, siso_schedule
+from qozcp.waveform import golay_pair, materialize, ptm_a_schedule, siso_schedule
 
 from oracles import per_pri_correlations, random_pair
 
@@ -41,24 +41,29 @@ def test_grid_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([0.0, bad]))
+    for bad in ([0.5], [1.7], [np.inf], [np.nan], [1e30]):
+        with pytest.raises(ValueError, match="integers"):
+            DelayDopplerGrid(delays=np.array(bad), dopplers=np.array([0.0]))
+    grid = DelayDopplerGrid(delays=np.array([-1.0, 2.0]), dopplers=np.array([0.0]))
+    assert grid.delays.tolist() == [-1, 2] and grid.delays.dtype == np.int64
+    for delays, dopplers in (([[0, 1]], [0.0]), ([0], [[0.0, 1.0]]), (0, [0.0])):
+        with pytest.raises(ValueError, match="1-D"):
+            DelayDopplerGrid(delays=np.array(delays), dopplers=np.array(dopplers))
 
 
 def test_surface_matches_brute_force():
+    N = 16
     pair = _random_schedule_pair(0, L=8)
-    sched = ptm_a_schedule(pair, 4)
-    grid = DelayDopplerGrid(delays=np.arange(-7, 8),
-                            dopplers=np.array([0.0, 0.3, 1.7]))
-    surf = ambiguity_surface(sched, 0, 1, grid)
-    from qozcp.waveform import materialize
-
-    for i, k in enumerate(grid.delays):
-        for j, theta in enumerate(grid.dopplers):
-            val = 0.0 + 0.0j
-            for n in range(4):
-                c = cross_correlation(materialize(sched, 0, n),
-                                      materialize(sched, 1, n))
-                val += np.exp(1j * n * theta) * c[k + 7]
-            assert surf.values[i, j] == pytest.approx(val, abs=1e-10)
+    grid = DelayDopplerGrid(delays=np.arange(-7, 8), dopplers=np.linspace(0.0, 3.0, 7))
+    # PTM-A auto, PTM-A cross and SISO auto surfaces.
+    for sched, a, b in _schedule_surfaces(pair, N):
+        surf = ambiguity_surface(sched, a, b, grid)
+        corr = [cross_correlation(materialize(sched, a, n), materialize(sched, b, n))
+                for n in range(N)]
+        for i, k in enumerate(grid.delays):
+            for j, theta in enumerate(grid.dopplers):
+                val = sum(np.exp(1j * n * theta) * corr[n][k + 7] for n in range(N))
+                assert surf.values[i, j] == pytest.approx(val, abs=1e-10)
 
 
 def test_surface_rejects_out_of_range_delay():
@@ -165,6 +170,27 @@ def test_taylor_zone_split():
     assert rep.out_zone_max == pytest.approx(float(np.max(vec[~((np.abs(lags) < 4) & (lags != 0))])))
 
 
+def test_taylor_rejects_zone_out_of_range():
+    pair = golay_pair(16)
+    sched = ptm_a_schedule(pair, 8)
+    for bad in (-1, 0, 1, 17):
+        with pytest.raises(ValueError, match="zone"):
+            taylor_coefficients(sched, 0, 0, m_max=1, Z=bad)
+    assert taylor_coefficients(sched, 0, 0, m_max=0, Z=16)[0].out_zone_max == pytest.approx(128.0)
+
+
+def test_schedule_rows_out_of_range_are_value_errors():
+    pair = golay_pair(8)
+    grid = DelayDopplerGrid.zone(4, 3.0, 3)
+    ptm_a, siso = ptm_a_schedule(pair, 8), siso_schedule(pair, 8)
+    for sched, a, b in ((ptm_a, 0, 2), (ptm_a, 2, 2), (ptm_a, 0, -1), (ptm_a, -1, -1),
+                        (siso, 0, 1), (siso, 1, 1)):
+        with pytest.raises(ValueError, match="row"):
+            ambiguity_surface(sched, a, b, grid)
+        with pytest.raises(ValueError, match="row"):
+            taylor_coefficients(sched, a, b, m_max=1)
+
+
 def test_zone_metrics_golay():
     pair = golay_pair(64)
     m = zone_metrics(pair, 30)
@@ -221,7 +247,9 @@ def _schedule_surfaces(pair, N):
 def test_per_pri_correlations_match_materialized_oracle(N):
     for pair in (_random_schedule_pair(21), golay_pair(16)):
         for sched, a, b in _schedule_surfaces(pair, N):
-            corr = qozcp.ambiguity._per_pri_correlations(sched, a, b)
+            # Identity weights pick out each PRI's own correlation.
+            lags = np.arange(-(pair.length - 1), pair.length)
+            corr = qozcp.ambiguity._cell_sum(sched, a, b, np.eye(N), lags).T
             assert np.array_equal(corr, per_pri_correlations(sched, a, b))
 
 
