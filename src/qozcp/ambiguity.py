@@ -16,6 +16,7 @@ T-IT 2008).  Each distinct cell is correlated once, in one stacked FFT call;
 the tests, not the code, hold the identities between the cells.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +108,14 @@ class MetricsReport:
 
 
 def _cell_sum(schedule: TransmitSchedule, row_a: int, row_b: int,
-              weights: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """sum_n C_{a_n, b_n}(k) * weights[:, n] as one term per cell, lags x columns.
+              weights: Callable[[np.ndarray], np.ndarray],
+              lags: np.ndarray) -> np.ndarray:
+    """sum_n C_{a_n, b_n}(k) * weights(n) as one term per cell, lags x columns.
 
-    ``weights`` has one column per PRI; a cell's weight is the sum of its
-    PRIs' columns, gathered contiguously so that numpy sums them pairwise.
-    Each distinct cell is correlated once, at the first PRI that carries it,
-    all of them in one stacked call.
+    ``weights(n)`` returns one column per PRI in ``n``; a cell's weight is
+    the sum of the columns of its own PRIs, which come in increasing order so
+    that numpy sums them pairwise.  Each distinct cell is correlated once, at
+    the first PRI that carries it, all of them in one stacked call.
     """
     if not (0 <= row_a < schedule.rows and 0 <= row_b < schedule.rows):
         raise ValueError("schedule row out of range")
@@ -123,11 +125,13 @@ def _cell_sum(schedule: TransmitSchedule, row_a: int, row_b: int,
     first = [cells.index(cell) for cell in slot]
     corr = cross_correlation_fft(np.stack([materialize(schedule, row_a, n) for n in first]),
                                  np.stack([materialize(schedule, row_b, n) for n in first]))
-    cell_weights = np.stack([weights.compress(index == i, axis=1).sum(axis=1)
-                             for i in range(len(first))])
-    # One broadcast product summed over the cells: no matrix product, so no BLAS threads.
     corr = corr[:, lags + (schedule.pair.length - 1), None]
-    return (corr * cell_weights[:, None, :]).sum(axis=0)
+    # Cell by cell, added in place: no matrix product, so no BLAS threads, and
+    # only one cell's columns at a time.
+    total = corr[0] * weights(np.flatnonzero(index == 0)).sum(axis=1)
+    for i in range(1, len(first)):
+        total += corr[i] * weights(np.flatnonzero(index == i)).sum(axis=1)
+    return total
 
 
 def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
@@ -135,8 +139,11 @@ def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
     """Evaluate the (auto- or cross-) ambiguity surface over the grid."""
     if np.any(np.abs(grid.delays) > schedule.pair.length - 1):
         raise ValueError("grid delay exceeds L-1")
-    phases = 1j * np.outer(grid.dopplers, np.arange(schedule.n_pri))
-    np.exp(phases, out=phases)
+
+    def phases(n):
+        table = 1j * np.outer(grid.dopplers, n)
+        return np.exp(table, out=table)
+
     values = _cell_sum(schedule, row_a, row_b, phases, grid.delays)
     return AmbiguitySurface(grid=grid, values=values)
 
@@ -156,8 +163,8 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
     if not 1 < zone <= L:
         raise ValueError("zone must satisfy 1 < Z <= L")
     lags = np.arange(-(L - 1), L)
-    n_pow = np.arange(schedule.n_pri, dtype=np.float64) ** np.arange(m_max + 1)[:, None]
-    vecs = _cell_sum(schedule, row_a, row_b, n_pow, lags)
+    orders = np.arange(m_max + 1)[:, None]
+    vecs = _cell_sum(schedule, row_a, row_b, lambda n: n.astype(np.float64) ** orders, lags)
     bits = ptm(schedule.n_pri)
     in_zone = np.abs(lags) < zone
     if row_a == row_b:

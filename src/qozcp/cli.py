@@ -165,11 +165,10 @@ def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
     Values with fewer rows or columns than the grid raise ``IndexError``.
     """
     thetas = [repr(theta) for theta in surface.grid.dopplers.tolist()]
-    values = surface.values.tolist()
     with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
         for i, k in enumerate(surface.grid.delays.tolist()):
-            row = values[i]
+            row = surface.values[i].tolist()
             if len(row) < len(thetas):
                 raise IndexError(f"surface row {i} is narrower than the Doppler grid")
             fh.write("".join([f"{k},{theta},{v.real!r},{v.imag!r},{abs(v)!r}\n"

@@ -178,6 +178,26 @@ def per_pri_correlations(schedule, row_a: int, row_b: int) -> np.ndarray:
     ])
 
 
+def dense_cell_sum(schedule, row_a: int, row_b: int, weights: np.ndarray,
+                   lags: np.ndarray) -> np.ndarray:
+    """sum_n C_{a_n, b_n}(k) * weights[:, n] from the full weights table.
+
+    ``weights`` has one column per PRI.  Each cell's columns are gathered
+    from the whole table and summed, and the cell terms come out of one
+    (cells, lags, columns) broadcast product summed over the cells.
+    """
+    cells = list(zip(schedule.assignments[row_a], schedule.assignments[row_b]))
+    slot: dict = {}
+    index = np.array([slot.setdefault(cell, len(slot)) for cell in cells])
+    first = [cells.index(cell) for cell in slot]
+    corr = cross_correlation_fft(np.stack([materialize(schedule, row_a, n) for n in first]),
+                                 np.stack([materialize(schedule, row_b, n) for n in first]))
+    cell_weights = np.stack([weights.compress(index == i, axis=1).sum(axis=1)
+                             for i in range(len(first))])
+    corr = corr[:, lags + (schedule.pair.length - 1), None]
+    return (corr * cell_weights[:, None, :]).sum(axis=0)
+
+
 def write_surface_table_per_cell(path: str, surface) -> None:
     """Surface CSV formatted one numpy scalar at a time: the reference bytes."""
     with open(path, "w") as fh:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,7 @@ from qozcp.ambiguity import (
 from qozcp.sequences import SequencePair, complementary_sum, cross_correlation
 from qozcp.waveform import golay_pair, materialize, ptm_a_schedule, siso_schedule
 
-from oracles import per_pri_correlations, random_pair
+from oracles import dense_cell_sum, per_pri_correlations, random_pair
 
 
 def _random_schedule_pair(seed, L=16):
@@ -249,7 +250,7 @@ def test_per_pri_correlations_match_materialized_oracle(N):
         for sched, a, b in _schedule_surfaces(pair, N):
             # Identity weights pick out each PRI's own correlation.
             lags = np.arange(-(pair.length - 1), pair.length)
-            corr = qozcp.ambiguity._cell_sum(sched, a, b, np.eye(N), lags).T
+            corr = qozcp.ambiguity._cell_sum(sched, a, b, lambda n: np.eye(N)[:, n], lags).T
             assert np.array_equal(corr, per_pri_correlations(sched, a, b))
 
 
@@ -269,3 +270,39 @@ def test_correlations_run_once_per_distinct_cell(monkeypatch):
         calls.clear()
         ambiguity_surface(sched, a, b, grid)
         assert calls == [cells]
+
+
+@pytest.mark.parametrize("N", [8, 64, 1024])
+def test_cell_sums_match_dense_table_oracle(N):
+    # The full N-column tables summed per cell, as the oracle does, give the
+    # same bits as building each cell's columns from its own PRIs.
+    pair = _random_schedule_pair(23)
+    grid = DelayDopplerGrid(delays=np.arange(-15, 16),
+                            dopplers=np.array([-3.0, -1.25, -0.1, -0.0, 0.0, 0.1, 0.7, 3.0]))
+    lags = np.arange(-(pair.length - 1), pair.length)
+    n = np.arange(N)
+    phases = 1j * np.outer(grid.dopplers, n)
+    np.exp(phases, out=phases)
+    n_pow = n.astype(np.float64) ** np.arange(7)[:, None]
+    for sched, a, b in _schedule_surfaces(pair, N):
+        values = ambiguity_surface(sched, a, b, grid).values
+        want = dense_cell_sum(sched, a, b, phases, grid.delays)
+        assert np.array_equal(values, want) and values.tobytes() == want.tobytes()
+        vecs = np.stack([r.lag_vector for r in taylor_coefficients(sched, a, b, 6)], axis=1)
+        want = dense_cell_sum(sched, a, b, n_pow, lags)
+        assert np.array_equal(vecs, want) and vecs.tobytes() == want.tobytes()
+
+
+def test_surface_memory_stays_below_the_full_phase_table():
+    # Each cell's phase sums come from that cell's PRIs alone, so the peak
+    # scales with D x the largest cell (half of the PRIs), not D x N.
+    N, D = 1024, 512
+    sched = ptm_a_schedule(_random_schedule_pair(24), N)
+    grid = DelayDopplerGrid.zone(8, OMEGA2_DOPPLER_MAX, D)
+    tracemalloc.start()
+    try:
+        ambiguity_surface(sched, 0, 0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * D * 16
