@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequencePair
+from .sequences import SequencePair, check_zone, zone_maxima
 from .spectral import correlations_from_spectra, cross_correlation_fft, forward_spectrum
 from .waveform import TransmitSchedule, materialize, ptm, ptm_a_schedule, prouhet_partition_sums
 
@@ -82,7 +82,7 @@ class AmbiguitySurface:
     values: np.ndarray           # len(delays) x len(dopplers)
 
     def modulus(self) -> np.ndarray:
-        return np.abs(self.values)
+        return np.hypot(self.values.real, self.values.imag)  # abs() of each Python complex
 
 
 @dataclass
@@ -153,15 +153,14 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
     """Lag-domain Doppler Taylor coefficients sum_n n^m C_{a_n, b_n}(k).
 
     ``beta_m`` is the shared power sum of the Thue-Morse index classes.  The
-    zone split uses Z when given, 1 < Z <= L (full range otherwise); the zero
-    lag is excluded from the in-zone maximum for auto surfaces only.
+    zone split uses Z when given (full range otherwise); the zero lag is
+    excluded from the in-zone maximum for auto surfaces only.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     L = schedule.pair.length
     zone = L if Z is None else Z
-    if not 1 < zone <= L:
-        raise ValueError("zone must satisfy 1 < Z <= L")
+    check_zone(zone, L)
     lags = np.arange(-(L - 1), L)
     orders = np.arange(m_max + 1)[:, None]
     vecs = _cell_sum(schedule, row_a, row_b, lambda n: n.astype(np.float64) ** orders, lags)
@@ -187,17 +186,17 @@ def zone_metrics(pair: SequencePair, Z: int,
     """Zone maxima of the pair correlations and the V/H ambiguity surfaces.
 
     The evaluation regions are the tabulated ones: delays |k| < Z inside the
-    zone, 1 < Z <= L, Doppler spans [0, 0.1] for the auto surface and [0, 3]
-    for the cross surface, with an 8-PRI two-row schedule unless one is
-    given.  The pair correlations come from the same FFT path as the
-    solver's objective.
+    zone, for a Z that :func:`check_zone` accepts, Doppler spans [0, 0.1] for
+    the auto surface and [0, 3] for the cross surface, with an 8-PRI two-row
+    schedule unless one is given.  The pair correlations come from the same
+    FFT path as the solver's objective.
     """
-    if not 1 < Z <= pair.length:
-        raise ValueError("zone must satisfy 1 < Z <= L")
+    check_zone(Z, pair.length)
     if schedule is None:
         schedule = ptm_a_schedule(pair, 8)
 
     r, c = correlations_from_spectra(forward_spectrum(np.stack([pair.x, pair.y])), Z)
+    side_max, cross_max = zone_maxima(r, c)
 
     omega1 = DelayDopplerGrid.zone(Z, OMEGA1_DOPPLER_MAX, OMEGA1_SAMPLES)
     aaf = ambiguity_surface(schedule, 0, 0, omega1).modulus()
@@ -207,10 +206,10 @@ def zone_metrics(pair: SequencePair, Z: int,
     else:
         caf_max = 0.0
 
-    # Index Z-1 of r and row Z-1 of the zone grid are delay 0; column 0 is theta = 0.
+    # Row Z-1 of the zone grid is delay 0; column 0 is theta = 0.
     return MetricsReport(
-        max_complementary_sidelobe_in_zone=float(np.max(np.abs(np.delete(r, Z - 1)))),
-        max_cross_correlation_in_zone=float(np.max(np.abs(c))),
+        max_complementary_sidelobe_in_zone=side_max,
+        max_cross_correlation_in_zone=cross_max,
         max_aaf_sidelobe_omega1=float(np.max(np.delete(aaf, Z - 1, axis=0))),
         max_caf_omega2=caf_max,
         peak_value=float(aaf[Z - 1, 0]),

@@ -32,7 +32,7 @@ from .ambiguity import (
     ambiguity_surface,
     zone_metrics,
 )
-from .sequences import SequencePair
+from .sequences import SequencePair, check_zone
 from .solver import SolverConfig, solve
 from .waveform import TransmitSchedule, golay_pair, ptm_a_schedule, siso_schedule
 
@@ -146,17 +146,12 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
     try:
         pair = SequencePair(_seq_from_json(doc["x"]), _seq_from_json(doc["y"]),
                             meta={"source": path, "Z": doc["Z"], "mode": doc["mode"]})
+        if pair.length != doc["L"]:
+            raise ValueError("length mismatch")
+        check_zone(doc["Z"], pair.length)
     except (OverflowError, ValueError) as exc:
         raise UsageError(f"corrupt pair archive {path!r}: {exc}") from exc
-    if pair.length != doc["L"]:
-        raise UsageError(f"corrupt pair archive {path!r}: length mismatch")
-    _check_zone(doc["Z"], pair.length)
     return pair, doc
-
-
-def _check_zone(Z: int, L: int) -> None:
-    if not 1 < Z <= L:
-        raise UsageError(f"zone must satisfy 1 < Z <= L, got Z={Z}, L={L}")
 
 
 def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
@@ -165,27 +160,24 @@ def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
     Values with fewer rows or columns than the grid raise ``IndexError``.
     """
     thetas = [repr(theta) for theta in surface.grid.dopplers.tolist()]
+    parts = (surface.values.real, surface.values.imag, surface.modulus())
     with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
         for i, k in enumerate(surface.grid.delays.tolist()):
-            row = surface.values[i].tolist()
-            if len(row) < len(thetas):
+            re, im, mod = (part[i].tolist() for part in parts)
+            if len(re) < len(thetas):
                 raise IndexError(f"surface row {i} is narrower than the Doppler grid")
-            fh.write("".join([f"{k},{theta},{v.real!r},{v.imag!r},{abs(v)!r}\n"
-                              for theta, v in zip(thetas, row)]))
+            fh.write("".join([f"{k},{theta},{a!r},{b!r},{m!r}\n"
+                              for theta, a, b, m in zip(thetas, re, im, mod)]))
 
 
 def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
     """A pair argument is either 'golay:L' or a path to an archive."""
     if ref.startswith("golay:"):
         try:
-            L = int(ref.split(":", 1)[1])
+            return golay_pair(int(ref.split(":", 1)[1])), None
         except ValueError as exc:
-            raise UsageError(f"bad golay length in {ref!r}") from exc
-        try:
-            return golay_pair(L), None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(f"bad golay length in {ref!r}: {exc}") from exc
     pair, doc = read_archive(ref)
     return pair, doc["Z"]
 
@@ -214,12 +206,11 @@ def cmd_design(args) -> int:
         raise UsageError("--papr is meaningless with --mode unimodular")
     if args.restarts < 1:
         raise UsageError("--restarts must be at least 1")
-    p_r = args.papr if args.papr is not None else 5.0
     out = _resolve_out(args.out)
     try:
         configs = [SolverConfig(
             L=args.length, Z=args.zone, alpha=args.alpha, mode=args.mode,
-            p_r=p_r, max_iter=args.max_iter, tol=args.tol, target=args.target,
+            p_r=args.papr, max_iter=args.max_iter, tol=args.tol, target=args.target,
             seed=args.seed + i,
         ) for i in range(args.restarts)]
     except ValueError as exc:
@@ -250,9 +241,9 @@ def cmd_evaluate(args) -> int:
     prefix = _resolve_out(args.out_prefix, suffixes)
     pair, archive_z = _load_pair(args.pair)
     Z = args.zone if args.zone is not None else (archive_z or pair.length)
-    _check_zone(Z, pair.length)
     build = ptm_a_schedule if args.schedule == "ptm-a" else siso_schedule
     try:
+        check_zone(Z, pair.length)
         schedule = build(pair, args.pri)
         grid = DelayDopplerGrid.zone(Z, args.doppler_max, args.doppler_samples)
     except ValueError as exc:
@@ -289,7 +280,10 @@ def cmd_compare(args) -> int:
     if args.zone is None and z_a is not None and z_b is not None and z_a != z_b:
         raise UsageError("archives disagree on Z; pass --zone to override")
     Z = zones[0]
-    _check_zone(Z, pair_a.length)
+    try:
+        check_zone(Z, pair_a.length)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     rows = [
         ("max complementary sidelobe (|k|<Z)", "max_complementary_sidelobe_in_zone"),
@@ -364,7 +358,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,6 +21,8 @@ __all__ = [
     "objective",
     "lag_index",
     "transform_length",
+    "check_zone",
+    "zone_maxima",
 ]
 
 
@@ -34,6 +36,19 @@ def as_sequence(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("sequence entries must be finite")
     return arr
+
+
+def check_zone(Z: int, L: int) -> None:
+    """Raise ``ValueError`` unless the zone width Z of length-L sequences has 1 < Z <= L."""
+    if not 1 < Z <= L:
+        raise ValueError(f"zone must satisfy 1 < Z <= L, got Z={Z}, L={L}")
+
+
+def zone_maxima(r: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """(max |r_k| over 0 < |k| < Z, max |c_k|) for lag vectors of exactly the lags |k| < Z."""
+    mag = np.abs(r)
+    mag[mag.size // 2] = 0.0    # drops the zero-lag peak, as every modulus is >= 0
+    return float(mag.max()), float(np.abs(c).max())
 
 
 def lag_index(k: int, L: int) -> int:
@@ -114,6 +129,7 @@ class WeightProfile:
             raise ValueError("weights must be one-dimensional")
         if self.w.size != self.w_tilde.size:
             raise ValueError("w and w_tilde must have equal length")
+        check_zone(self.Z, self.L)
         if self.w[0] != 0.0:
             raise ValueError("w[0] must be zero")
         if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.w_tilde))):
@@ -124,8 +140,6 @@ class WeightProfile:
             raise ValueError("at least one weight must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 1 < self.Z <= self.w.size:
-            raise ValueError("zone width must satisfy 1 < Z <= L")
         full_w = np.concatenate([self.w[:0:-1], self.w])
         full_wt = np.concatenate([self.w_tilde[:0:-1], self.w_tilde])
         for arr in (self.w, self.w_tilde, full_w, full_wt):
@@ -143,6 +157,7 @@ class WeightProfile:
     @classmethod
     def indicator(cls, L: int, Z: int, alpha: float = 0.5) -> "WeightProfile":
         """Unit weights on the zone: w_k = 1 for 1 <= k < Z, wt_k = 1 for 0 <= k < Z."""
+        check_zone(Z, L)
         w = np.zeros(L)
         w[1:Z] = 1.0
         wt = np.zeros(L)

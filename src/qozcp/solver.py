@@ -60,6 +60,7 @@ from .sequences import (
     SequencePair,
     WeightProfile,
     objective_from_correlations,
+    zone_maxima,
 )
 from .spectral import (
     correlations_from_spectra,
@@ -87,14 +88,14 @@ class SolverConfig:
 
     Two fields are derived, not passed: the energy budget ``p_e`` is L, and
     ``weights`` is the zone-indicator profile
-    ``WeightProfile.indicator(L, Z, alpha)``.
+    ``WeightProfile.indicator(L, Z, alpha)``, which checks Z and alpha.
     """
 
     L: int
     Z: int
     alpha: float = 0.5
     mode: str = "papr"            # "papr" or "unimodular"
-    p_r: float = 5.0              # PAPR cap, 1 in unimodular mode
+    p_r: float | None = None      # PAPR cap: min(5, L) by default, 1 in unimodular mode
     max_iter: int = 200_000
     tol: float = 1e-14
     target: float | None = None   # in-zone maxima bound, defaults to 1e-11 * 2 p_e
@@ -105,10 +106,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("papr", "unimodular"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 1 < self.Z <= self.L:
-            raise ValueError("zone must satisfy 1 < Z <= L")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
         if self.max_iter < 0 or not 0.0 <= self.tol < np.inf:
             raise ValueError("max_iter must be nonnegative and tol finite and nonnegative")
         if self.target is not None and not 0.0 <= self.target < np.inf:
@@ -118,13 +116,15 @@ class SolverConfig:
         if self.mode == "unimodular":
             # |z_l| = 1 forces the cap p_c = 1.
             self.p_r = 1.0
+        elif self.p_r is None:
+            # A cap of L never binds: every sequence has PAPR <= L.
+            self.p_r = min(5.0, float(self.L))
         self.p_e = float(self.L)
         if self.target is None:
             # 1e-11 of the zero-lag peak 2 p_e of C_x + C_y.
             self.target = 1e-11 * 2.0 * self.p_e
         if not 1.0 <= self.p_r <= self.L:
             raise ValueError("p_r must lie in [1, L]")
-        self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
 
     @property
     def p_c(self) -> float:
@@ -450,22 +450,18 @@ def solve(config: SolverConfig) -> tuple[SequencePair, SolverState]:
     its iterate, a relative change below ``config.tol``, or ``max_iter``
     steps; ``state.stop_reason`` names which.
     """
-    wp = config.weights
-    lam_j = lambda_j(wp, config.L)
-    record = _evaluate(_initial_z(config), wp)
+    lam_j = lambda_j(config.weights, config.L)
+    record = _evaluate(_initial_z(config), config.weights)
     state = SolverState(z=record.z, objective_history=[record.objective], record=record)
-    lags = np.abs(np.arange(1 - wp.reach, wp.reach))
-    in_zone = lags < config.Z
-    sidelobes = in_zone & (lags > 0)
 
     reason = "max_iter"
     for _ in range(config.max_iter):
         z_prev = state.z
         state = sdamm_step(state, config, lam_j=lam_j)
-        rec = state.record
         prev, cur = state.objective_history[-2:]
-        if (np.max(np.abs(rec.r[sidelobes])) <= config.target
-                and np.max(np.abs(rec.c[in_zone])) <= config.target):
+        # The indicator profile's reach is Z, so the record holds the lags |k| < Z.
+        side_max, cross_max = zone_maxima(state.record.r, state.record.c)
+        if side_max <= config.target and cross_max <= config.target:
             reason = "target"
         elif state.z is z_prev:
             reason = "floor"

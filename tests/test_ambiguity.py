@@ -306,3 +306,14 @@ def test_surface_memory_stays_below_the_full_phase_table():
     finally:
         tracemalloc.stop()
     assert peak < N * D * 16
+
+
+def test_modulus_is_abs_of_each_python_complex():
+    # np.abs differs from abs(complex) in the last bit on about a third of
+    # these entries; the CSV writer and zone_metrics both read modulus().
+    sched = ptm_a_schedule(_random_schedule_pair(25, L=256), 1024)
+    grid = DelayDopplerGrid.zone(100, OMEGA2_DOPPLER_MAX, OMEGA2_SAMPLES)
+    surface = ambiguity_surface(sched, 0, 1, grid)
+    values = surface.values.ravel().tolist()
+    assert surface.modulus().ravel().tolist() == [abs(v) for v in values]
+    assert np.any(np.abs(surface.values) != surface.modulus())

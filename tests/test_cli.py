@@ -252,10 +252,30 @@ def test_bad_golay_spec_exits_2():
     assert rc == 2
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["design", "--length", "16"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["design", "--length", "16"], ["compare", "--pair", "golay:16"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_design_default_papr_cap_fits_short_sequences(tmp_path):
+    # The default cap is min(5, L): a cap above L is invalid, and L never binds.
+    out = tmp_path / "short.json"
+    assert main(["design", "--length", "4", "--zone", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["p_r"] == 4.0
+
+
+def test_evaluate_csv_and_metrics_share_one_modulus(tmp_path):
+    prefix = tmp_path / "ev"
+    assert main(["evaluate", "--pair", "golay:64", "--zone", "30", "--pri", "1024",
+                 "--out-prefix", str(prefix)]) == 0
+    rows = (tmp_path / "ev_caf.csv").read_text().splitlines()[1:]
+    csv_max = max(float(row.rsplit(",", 1)[1]) for row in rows)
+    metrics = json.loads((tmp_path / "ev_metrics.json").read_text())
+    assert csv_max == metrics["max_caf_omega2"]
 
 
 def test_console_entry_point():
@@ -294,6 +314,9 @@ MALFORMED_ARCHIVES = {
     "integer_beyond_float_entry": lambda doc: _set_entry(doc, [10 ** 400, 0]),
     # finite, but its correlations overflow
     "overflowing_entry": lambda doc: _set_entry(doc, [1e308, -1e308]),
+    "l_differs_from_length": lambda doc: doc.update(L=15),
+    # returned, so it replaces the document
+    "top_level_array": lambda doc: [doc],
 }
 
 
@@ -304,7 +327,7 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     path = tmp_path / "bad.json"
     write_archive(str(path), golay_pair(16), config, metrics={})
     doc = json.loads(path.read_text())
-    MALFORMED_ARCHIVES[case](doc)
+    doc = MALFORMED_ARCHIVES[case](doc) or doc
     path.write_text(json.dumps(doc))
     if command == "evaluate":
         argv = ["evaluate", "--pair", str(path), "--out-prefix", str(tmp_path / "o")]
@@ -334,9 +357,13 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["evaluate", "--pair", "golay:16", "--zone", "8", "--schedule", "ptm-siso",
      "--pri", "0", "--out-prefix", "{d}/e"],
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "17"],
+    ["evaluate", "--pair", "golay:abc", "--zone", "4", "--out-prefix", "{d}/e"],
+    ["design", "--length", "16", "--zone", "8", "--restarts", "0", "--out", "{d}/a.json"],
+    ["design", "--length", "4", "--zone", "2", "--papr", "7", "--out", "{d}/a.json"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
         "target-negative", "target-nan", "target-inf", "tol-inf", "seed-negative", "out-empty",
-        "out-prefix-empty", "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l"])
+        "out-prefix-empty", "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l",
+        "golay-length-not-a-number", "restarts-0", "papr-above-l"])
 def test_bad_flags_exit_2(tmp_path, monkeypatch, argv):
     # An empty output path would resolve in the working directory.
     monkeypatch.chdir(tmp_path)

@@ -5,12 +5,14 @@ from qozcp.sequences import (
     SequencePair,
     WeightProfile,
     auto_correlation,
+    check_zone,
     complementary_sum,
     cross_correlation,
     objective,
     objective_from_correlations,
     papr,
     reverse_conjugate,
+    zone_maxima,
 )
 from qozcp.waveform import golay_pair
 
@@ -215,3 +217,35 @@ def test_sequence_pair_validation():
         SequencePair([1, np.nan], [1, 1])
     with pytest.raises(ValueError):
         SequencePair([1], [1])
+
+
+def test_check_zone_accepts_exactly_1_lt_z_le_l():
+    for L in (2, 3, 16):
+        for Z in range(2, L + 1):
+            check_zone(Z, L)
+        for Z in (-1, 0, 1, L + 1):
+            with pytest.raises(ValueError, match=f"1 < Z <= L, got Z={Z}, L={L}"):
+                check_zone(Z, L)
+
+
+@pytest.mark.parametrize("Z", [2, 3, 30])
+def test_zone_maxima_match_masked_maxima(Z):
+    rng = np.random.default_rng(Z)
+    lags = np.arange(1 - Z, Z)
+    for _ in range(5):
+        r, c = rng.normal(size=(2, 2 * Z - 1)) + 1j * rng.normal(size=(2, 2 * Z - 1))
+        r[Z - 1] = 1e9      # the zero-lag peak is never a sidelobe
+        r_before, c_before = r.copy(), c.copy()
+        side, cross = zone_maxima(r, c)
+        assert side == np.max(np.abs(r[lags != 0]))
+        assert cross == np.max(np.abs(c))
+        assert type(side) is float and type(cross) is float
+        assert np.array_equal(r, r_before) and np.array_equal(c, c_before)
+    # A NaN at a sidelobe or in c reaches the maxima; one at the peak does not.
+    r = np.ones(2 * Z - 1, dtype=complex)
+    r[0] = np.nan
+    assert np.isnan(zone_maxima(r, np.ones(2 * Z - 1))[0])
+    assert np.isnan(zone_maxima(np.ones(2 * Z - 1), r)[1])
+    r = np.ones(2 * Z - 1, dtype=complex)
+    r[Z - 1] = np.nan
+    assert zone_maxima(r, np.ones(2 * Z - 1)) == (1.0, 1.0)

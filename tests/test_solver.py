@@ -443,6 +443,9 @@ def test_solve_reduces_objective_substantially():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(L=8, Z=1)
+    for L in (-3, 0, 1):
+        with pytest.raises(ValueError, match=f"1 < Z <= L, got Z=2, L={L}"):
+            SolverConfig(L=L, Z=2)
     with pytest.raises(ValueError):
         SolverConfig(L=8, Z=4, alpha=1.0)
     with pytest.raises(ValueError):
@@ -473,6 +476,16 @@ def test_config_validation():
     uni = SolverConfig(L=8, Z=4, mode="unimodular", p_r=3.0)
     assert uni.p_r == uni.p_c == 1.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
+
+
+def test_default_papr_cap_is_min_of_5_and_l():
+    # A cap of L never binds, so short sequences take L instead of 5.
+    for L, cap in ((2, 2.0), (4, 4.0), (5, 5.0), (64, 5.0)):
+        config = SolverConfig(L=L, Z=2)
+        assert config.p_r == cap and type(config.p_r) is float
+        assert SolverConfig(L=L, Z=2, mode="unimodular").p_r == 1.0
+    with pytest.raises(ValueError, match="p_r"):
+        SolverConfig(L=4, Z=2, p_r=5.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
