@@ -30,6 +30,7 @@ __all__ = [
     "AmbiguitySurface",
     "TaylorReport",
     "MetricsReport",
+    "DopplerOverflowError",
     "ambiguity_surface",
     "taylor_coefficients",
     "zone_metrics",
@@ -39,6 +40,10 @@ OMEGA1_DOPPLER_MAX = 0.1
 OMEGA1_SAMPLES = 256
 OMEGA2_DOPPLER_MAX = 3.0
 OMEGA2_SAMPLES = 512
+
+
+class DopplerOverflowError(ValueError):
+    """A grid's Doppler phase theta*n is not finite over the schedule's PRIs."""
 
 
 @dataclass
@@ -139,6 +144,9 @@ def ambiguity_surface(schedule: TransmitSchedule, row_a: int, row_b: int,
     """Evaluate the (auto- or cross-) ambiguity surface over the grid."""
     if np.any(np.abs(grid.delays) > schedule.pair.length - 1):
         raise ValueError("grid delay exceeds L-1")
+    # A Python float product overflows to inf without a warning.
+    if not np.isfinite(float(np.abs(grid.dopplers).max()) * (schedule.n_pri - 1)):
+        raise DopplerOverflowError(f"Doppler phase theta*n overflows over {schedule.n_pri} PRIs")
 
     def phases(n):
         table = 1j * np.outer(grid.dopplers, n)

@@ -29,6 +29,7 @@ from .ambiguity import (
     OMEGA2_SAMPLES,
     AmbiguitySurface,
     DelayDopplerGrid,
+    DopplerOverflowError,
     ambiguity_surface,
     zone_metrics,
 )
@@ -250,7 +251,10 @@ def cmd_evaluate(args) -> int:
         raise UsageError(str(exc)) from exc
 
     with np.errstate(over="ignore", invalid="ignore"):
-        surfaces = [ambiguity_surface(schedule, 0, row, grid) for row in range(schedule.rows)]
+        try:
+            surfaces = [ambiguity_surface(schedule, 0, row, grid) for row in range(schedule.rows)]
+        except DopplerOverflowError as exc:
+            raise UsageError(f"--doppler-max {args.doppler_max!r} is too large: {exc}") from exc
         # A one-row schedule has no cross surface; its metrics use the
         # default two-row schedule, as in design and compare.
         metrics = _pair_metrics(pair, Z, schedule if schedule.rows == 2 else None)

@@ -45,9 +45,6 @@ __all__ = [
 
 
 _SCRATCH = threading.local()
-# numpy 2.0 gave the transforms an ``out`` argument; before it they write a
-# new array, which _in_place copies back.
-_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
 def _scratch(role: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
@@ -61,14 +58,6 @@ def _scratch(role: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
         buf = np.empty(shape, dtype=dtype)
         setattr(_SCRATCH, role, buf)
     return buf
-
-
-def _in_place(transform, a: np.ndarray) -> np.ndarray:
-    """``transform(a)`` along the last axis (np.fft.fft or ifft), written over ``a``."""
-    if _FFT_OUT:
-        return transform(a, out=a)
-    a[...] = transform(a)
-    return a
 
 
 def forward_spectrum(x, n: int | None = None) -> np.ndarray:
@@ -111,7 +100,7 @@ def _lag_correlation(product: np.ndarray, K: int | None = None) -> np.ndarray:
     conjugate restores the direct-sum oracle's convention.  ``K`` is as in
     :func:`fft_to_lag_order`.  ``product`` is transformed in place.
     """
-    _in_place(np.fft.ifft, product)
+    np.fft.ifft(product, out=product)
     return fft_to_lag_order(np.conjugate(product, out=product), K)
 
 
@@ -168,7 +157,7 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     np.multiply(full_w[behind], r[:K - 1], out=mu[0, n - K + 1:])
     np.multiply(full_wt[ahead], c[K - 1:], out=mu[1, :K])
     np.multiply(full_wt[behind], c[:K - 1], out=mu[1, n - K + 1:])
-    return _in_place(np.fft.fft, mu)
+    return np.fft.fft(mu, out=mu)
 
 
 def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray:
@@ -199,5 +188,5 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     np.multiply(f[0], cross[1], out=cross[1])
     np.multiply(f[1], kernels[0], out=kernels[1])
     np.multiply(f[0], kernels[0], out=kernels[0])
-    corr = _in_place(np.fft.ifft, np.add(kernels, cross, out=kernels))
+    corr = np.fft.ifft(np.add(kernels, cross, out=kernels), out=kernels)
     return corr[:, :wp.L].flatten()

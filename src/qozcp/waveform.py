@@ -27,16 +27,10 @@ __all__ = [
 
 def ptm(N: int) -> np.ndarray:
     """First N terms of the Thue-Morse bit sequence (a_0 = 0, a_2k = a_k,
-    a_2k+1 = 1 - a_k)."""
+    a_2k+1 = 1 - a_k): a_n is the parity of the binary digit sum of n."""
     if N < 1:
         raise ValueError("N must be positive")
-    bits = np.zeros(N, dtype=np.int64)
-    for n in range(1, N):
-        if n % 2 == 0:
-            bits[n] = bits[n // 2]
-        else:
-            bits[n] = 1 - bits[n // 2]
-    return bits
+    return (np.bitwise_count(np.arange(N)) & 1).astype(np.int64)
 
 
 def prouhet_partition_sums(bits: np.ndarray, m: int) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from qozcp.ambiguity import (
     OMEGA2_DOPPLER_MAX,
     OMEGA2_SAMPLES,
     DelayDopplerGrid,
+    DopplerOverflowError,
     ambiguity_surface,
     taylor_coefficients,
     zone_metrics,
@@ -71,7 +72,13 @@ def test_surface_rejects_out_of_range_delay():
     pair = golay_pair(8)
     sched = siso_schedule(pair, 4)
     grid = DelayDopplerGrid(delays=np.array([8]), dopplers=np.array([0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
+        ambiguity_surface(sched, 0, 0, grid)
+    # evaluate blames --doppler-max only for the Doppler span's own error
+    assert not isinstance(info.value, DopplerOverflowError)
+    # theta * n overflows at the last PRI, n = 3, though theta itself is finite
+    grid = DelayDopplerGrid(delays=np.array([0]), dopplers=np.array([-1e308, 0.0]))
+    with pytest.raises(DopplerOverflowError, match="overflows"):
         ambiguity_surface(sched, 0, 0, grid)
 
 

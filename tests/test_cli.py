@@ -371,12 +371,16 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["evaluate", "--pair", "{d}/big.json", "--out-prefix", "{d}/e"],
-    ["compare", "--pair", "{d}/big.json", "--pair", "golay:16"],
-    ["evaluate", "--pair", "golay:16", "--doppler-max", "inf", "--out-prefix", "{d}/e"],
-], ids=["evaluate-overflow", "compare-overflow", "doppler-max-inf"])
-def test_rejection_prints_only_the_error_line(tmp_path, argv):
+@pytest.mark.parametrize("argv, blamed", [
+    (["evaluate", "--pair", "{d}/big.json", "--out-prefix", "{d}/e"], "pair '"),
+    (["compare", "--pair", "{d}/big.json", "--pair", "golay:16"], "pair '"),
+    (["evaluate", "--pair", "golay:16", "--doppler-max", "inf", "--out-prefix", "{d}/e"],
+     "doppler values"),
+    # finite phases theta, but theta * n overflows at the last PRI
+    (["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "1e308",
+      "--out-prefix", "{d}/e"], "--doppler-max"),
+], ids=["evaluate-overflow", "compare-overflow", "doppler-max-inf", "doppler-span-overflow"])
+def test_rejection_prints_only_the_error_line(tmp_path, argv, blamed):
     # Run as a user does, outside pytest's warning filter, so that a numpy
     # RuntimeWarning would reach stderr instead of raising.
     import subprocess
@@ -391,6 +395,7 @@ def test_rejection_prints_only_the_error_line(tmp_path, argv):
                          capture_output=True, text=True)
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert blamed in res.stderr
     assert res.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 

@@ -574,6 +574,42 @@ def test_sdamm_step_accepts_manual_state():
     assert state.objective_history[-1] <= before * (1.0 + 1e-9)
 
 
+def test_sdamm_step_rejects_a_non_finite_objective():
+    # finite entries whose correlations, and so the objective, overflow
+    config = SolverConfig(L=8, Z=4)
+    state = SolverState(z=np.full(16, 1e160, dtype=np.complex128))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite objective"):
+            sdamm_step(state, config)
+    assert state.objective_history == []
+
+
+def test_sdamm_step_at_a_fixed_point_keeps_the_plain_step(monkeypatch):
+    import qozcp.solver as solver
+
+    # a plain map that returns its input: v1 = v2 = 0, nothing to extrapolate
+    def fixed(rec, config, lam_j):
+        return rec.z.copy(), np.zeros_like(rec.z)
+
+    config, state = _start("papr")
+    z = state.z
+    evaluated = []
+    evaluate = solver._evaluate
+
+    def recording(z, wp):
+        evaluated.append(evaluate(z, wp))
+        return evaluated[-1]
+
+    monkeypatch.setattr(solver, "_mm_update", fixed)
+    monkeypatch.setattr(solver, "_evaluate", recording)
+    state = sdamm_step(state, config)
+    # the step's only evaluation is that of z1, and it keeps that record
+    assert len(evaluated) == 1 and state.record is evaluated[0]
+    assert state.z is state.record.z and np.array_equal(state.z, z)
+    assert state.last_step == {"alpha_sl": -1.0, "backtracks": 0}
+    assert state.objective_history[-1] == state.record.objective
+
+
 def _start(mode):
     """A config and the state ``solve`` starts from, record included."""
     config = SolverConfig(L=16, Z=8, mode=mode, seed=5, max_iter=0)

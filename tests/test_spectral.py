@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qozcp import spectral
 from qozcp.sequences import (
     SequencePair,
     WeightProfile,
@@ -268,22 +267,3 @@ def test_results_survive_later_calls_at_the_same_length():
         for a, b in zip(out, kept):
             assert np.array_equal(a, b)
 
-
-def test_transforms_without_out_keep_the_bits(monkeypatch):
-    # numpy < 2 has no ``out=`` on its transforms; the stages then copy each
-    # transform back into its scratch array, with the same results.
-    rng = np.random.default_rng(12)
-    L = 64
-    wp = WeightProfile.indicator(L, 20)
-    x, y = random_pair(rng, L)
-
-    def outputs():
-        f = forward_spectrum(np.stack([x, y]), wp.n_fft)
-        r, c = correlations_from_spectra(f, wp.reach)
-        q = gram_product(weighted_spectra(r, c, wp), f, wp)
-        return r, c, q, cross_correlation_fft(x, y)
-
-    ref = outputs()
-    monkeypatch.setattr(spectral, "_FFT_OUT", False)
-    for a, b in zip(outputs(), ref):
-        assert np.array_equal(a, b)

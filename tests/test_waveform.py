@@ -19,8 +19,9 @@ def test_ptm_prefix():
 
 
 def test_ptm_recursion_properties():
-    bits = ptm(64)
-    for k in range(32):
+    bits = ptm(4096)
+    assert bits.dtype == np.int64
+    for k in range(2048):
         assert bits[2 * k] == bits[k]
         assert bits[2 * k + 1] == 1 - bits[k]
 
