@@ -173,6 +173,7 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
     orders = np.arange(m_max + 1)[:, None]
     vecs = _cell_sum(schedule, row_a, row_b, lambda n: n.astype(np.float64) ** orders, lags)
     bits = ptm(schedule.n_pri)
+    # Z >= 2 keeps lags +-1 in the zone; a cross surface at Z = L has none out of it.
     in_zone = np.abs(lags) < zone
     if row_a == row_b:
         in_zone &= lags != 0
@@ -183,7 +184,7 @@ def taylor_coefficients(schedule: TransmitSchedule, row_a: int, row_b: int,
             order=m,
             lag_vector=vec,
             beta_m=beta_m,
-            in_zone_max=float(np.max(np.abs(vec[in_zone]))) if np.any(in_zone) else 0.0,
+            in_zone_max=float(np.max(np.abs(vec[in_zone]))),
             out_zone_max=float(np.max(np.abs(vec[~in_zone]))) if np.any(~in_zone) else 0.0,
         ))
     return reports

@@ -15,20 +15,10 @@ the two sequences of a pair as the rows of one array: the padded spectra of
 :func:`gram_product` are a (2, n) array ``mu``.  Each stage is then one
 numpy call for both rows.
 
-The (2, n) and (4, n) intermediates of the correlation and product stages
-live in scratch arrays kept per thread between calls (:func:`_scratch`): a
-loop that calls them at one length allocates none of them after its first
-call, so the process heap does not grow and shrink by their size on every
-solver step (which cost hundreds of page faults per step at L = 4096).  The
-arrays of the last length used stay allocated; nothing these functions
-return is a view of one.
-
 Lag vectors hold the lags |k| < K in increasing order: K = L on the public
 paths and the profile's reach in the solver.  FFT index order puts lag k at
 index k mod n; at n = 2L it is [v_0, ..., v_{L-1}, 0, v_{1-L}, ..., v_{-1}].
 """
-
-import threading
 
 import numpy as np
 
@@ -42,22 +32,6 @@ __all__ = [
     "gram_product",
     "fft_to_lag_order",
 ]
-
-
-_SCRATCH = threading.local()
-
-
-def _scratch(role: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-    """Uninitialized array for one intermediate, reused while its shape holds.
-
-    Each ``role`` keeps one array per thread; a call with another shape
-    replaces it.
-    """
-    buf = getattr(_SCRATCH, role, None)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = np.empty(shape, dtype=dtype)
-        setattr(_SCRATCH, role, buf)
-    return buf
 
 
 def forward_spectrum(x, n: int | None = None) -> np.ndarray:
@@ -132,9 +106,9 @@ def correlations_from_spectra(f: np.ndarray, K: int) -> tuple[np.ndarray, np.nda
     from one inverse transform of the two stacked products.  For length-L
     rows they are exact when n >= L + K - 1, as at n = 2L for every K <= L.
     """
-    power = _scratch("power", f.shape, np.float64)
-    np.square(np.abs(f, out=power), out=power)
-    product = _scratch("products", f.shape)
+    power = np.abs(f)
+    np.square(power, out=power)
+    product = np.empty_like(f)
     np.add(power[0], power[1], out=product[0])
     np.multiply(np.conjugate(f[0], out=product[1]), f[1], out=product[1])
     return tuple(_lag_correlation(product, K))
@@ -178,7 +152,7 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     # 2 alpha f rev(mu_r) + (1 - alpha) [f_y nu_c, f_x conj(nu_c)].
     # Diagonal blocks of Q and Q^H coincide, hence the factor 2 on the
     # autocorrelation kernel.
-    rows = _scratch("kernels", (4, f.shape[-1]))
+    rows = np.empty((4, f.shape[-1]), dtype=np.complex128)
     kernels, cross = rows[:2], rows[2:]
     _rev(mu, out=kernels)
     kernels[0] *= 2.0 * wp.alpha

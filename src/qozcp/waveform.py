@@ -119,8 +119,6 @@ def materialize(schedule: TransmitSchedule, row: int, n: int) -> np.ndarray:
 def siso_schedule(pair: SequencePair, N: int) -> TransmitSchedule:
     """Single-row schedule: PRI n carries x when the Thue-Morse bit is 0,
     else y."""
-    if N < 1:
-        raise ValueError("N must be positive")
     bits = ptm(N)
     row = [SequenceVariant("X") if b == 0 else SequenceVariant("Y") for b in bits]
     return TransmitSchedule(assignments=[row], pair=pair)

@@ -184,6 +184,8 @@ def test_taylor_rejects_zone_out_of_range():
     for bad in (-1, 0, 1, 17):
         with pytest.raises(ValueError, match="zone"):
             taylor_coefficients(sched, 0, 0, m_max=1, Z=bad)
+    with pytest.raises(ValueError, match="m_max must be nonnegative"):
+        taylor_coefficients(sched, 0, 0, m_max=-1, Z=8)
     assert taylor_coefficients(sched, 0, 0, m_max=0, Z=16)[0].out_zone_max == pytest.approx(128.0)
 
 

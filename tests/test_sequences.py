@@ -133,6 +133,11 @@ def test_objective_nonnegative_and_phase_invariant():
         assert objective(rotated, wp) == pytest.approx(val, rel=1e-10)
 
 
+def test_objective_rejects_profile_of_another_length():
+    with pytest.raises(ValueError, match="does not match"):
+        objective(golay_pair(8), WeightProfile.indicator(16, 4))
+
+
 def test_weight_profile_validation():
     with pytest.raises(ValueError):
         WeightProfile(Z=2, w=[1.0, 1.0], w_tilde=[1.0, 1.0])  # w[0] != 0
@@ -140,6 +145,10 @@ def test_weight_profile_validation():
         WeightProfile(Z=2, w=[0.0, -1.0], w_tilde=[1.0, 1.0])
     with pytest.raises(ValueError):
         WeightProfile(Z=2, w=[0.0, 0.0], w_tilde=[0.0, 0.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        WeightProfile(Z=2, w=[[0.0, 1.0]], w_tilde=[1.0, 1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        WeightProfile(Z=2, w=[0.0, 1.0], w_tilde=[1.0, 1.0, 0.0])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             WeightProfile(Z=2, w=[0.0, 1.0, bad], w_tilde=[1.0, 1.0, 0.0])
@@ -217,6 +226,8 @@ def test_sequence_pair_validation():
         SequencePair([1, np.nan], [1, 1])
     with pytest.raises(ValueError):
         SequencePair([1], [1])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SequencePair([[1, 1], [1, 1]], [1, 1])
 
 
 def test_check_zone_accepts_exactly_1_lt_z_le_l():

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -543,6 +544,32 @@ def test_unimodular_solve_reaches_target(monkeypatch):
     lags = np.abs(np.arange(1 - L, L))
     assert np.max(np.abs(complementary_sum(pair)[(lags < Z) & (lags > 0)])) <= config.target
     assert np.max(np.abs(cross_correlation(pair.x, pair.y)[lags < Z])) <= config.target
+
+
+def test_concurrent_solves_match_sequential_runs():
+    # The spectral stages keep no state between calls, so solves run at once
+    # in threads reproduce the bits of sequential runs.  Two of them share a
+    # transform length: a buffer shared across threads, kept per length or
+    # per role, would be written by both at once.
+    configs = [SolverConfig(L=64, Z=30, seed=0), SolverConfig(L=64, Z=30, seed=1),
+               SolverConfig(L=512, Z=100, mode="unimodular", seed=0)]
+    sequential = [solve(config)[1] for config in configs]
+    concurrent = [None] * len(configs)
+    start = threading.Barrier(len(configs))
+
+    def run(i):
+        start.wait(timeout=60)
+        concurrent[i] = solve(configs[i])[1]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for seq, con in zip(sequential, concurrent):
+        assert np.array_equal(con.z, seq.z)
+        assert con.objective_history == seq.objective_history
 
 
 @pytest.mark.parametrize("kwargs, reason", [

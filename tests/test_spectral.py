@@ -250,8 +250,8 @@ def test_fft_to_lag_order_round_trips_at_n_points(K):
 
 
 def test_results_survive_later_calls_at_the_same_length():
-    # The correlation and product stages reuse scratch arrays between calls
-    # at one transform length; nothing they return may be a view of one.
+    # The solver keeps returned spectra, correlations and products across
+    # later calls at one transform length, so no call may overwrite them.
     rng = np.random.default_rng(11)
     L = 64
     wp = WeightProfile.indicator(L, 20)

@@ -29,6 +29,8 @@ def test_ptm_recursion_properties():
 def test_ptm_rejects_nonpositive():
     with pytest.raises(ValueError):
         ptm(0)
+    with pytest.raises(ValueError, match="N must be positive"):
+        siso_schedule(golay_pair(4), 0)
 
 
 @pytest.mark.parametrize("M", [0, 1, 2, 3])
@@ -75,6 +77,11 @@ def test_variant_str():
     assert str(SequenceVariant("X")) == "x"
     assert str(SequenceVariant("Y", negated=True)) == "-y"
     assert str(SequenceVariant("Y", negated=True, reversed_conjugated=True)) == "-~y"
+
+
+def test_variant_rejects_unknown_base():
+    with pytest.raises(ValueError, match="base"):
+        SequenceVariant("Z")
 
 
 def test_materialize_variants():
