@@ -75,6 +75,8 @@ class DelayDopplerGrid:
         # linspace would spread a non-finite bound with a RuntimeWarning first.
         if not np.isfinite(doppler_max):
             raise ValueError("doppler values must be finite")
+        if doppler_max < 0:
+            raise ValueError(f"doppler_max must be nonnegative, got {doppler_max!r}")
         return cls(
             delays=np.arange(-(Z - 1), Z),
             dopplers=np.linspace(0.0, doppler_max, samples),

@@ -139,7 +139,7 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
     for key in ("format_version", "L", "Z", "mode", "x", "y"):
         if key not in doc:
             raise UsageError(f"corrupt pair archive {path!r}: missing {key!r}")
-    if doc["format_version"] != ARCHIVE_FORMAT_VERSION:
+    if type(doc["format_version"]) is not int or doc["format_version"] != ARCHIVE_FORMAT_VERSION:
         raise UsageError(f"pair archive {path!r} has unsupported format_version "
                          f"{doc['format_version']!r}")
     if type(doc["L"]) is not int or type(doc["Z"]) is not int:
@@ -359,6 +359,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
         return 1

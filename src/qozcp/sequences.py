@@ -19,7 +19,7 @@ __all__ = [
     "reverse_conjugate",
     "papr",
     "objective",
-    "lag_index",
+    "objective_from_correlations",
     "transform_length",
     "check_zone",
     "zone_maxima",
@@ -49,13 +49,6 @@ def zone_maxima(r: np.ndarray, c: np.ndarray) -> tuple[float, float]:
     mag = np.abs(r)
     mag[mag.size // 2] = 0.0    # drops the zero-lag peak, as every modulus is >= 0
     return float(mag.max()), float(np.abs(c).max())
-
-
-def lag_index(k: int, L: int) -> int:
-    """Index of lag ``k`` inside a length 2L-1 correlation vector."""
-    if abs(k) > L - 1:
-        raise ValueError(f"lag {k} out of range for length {L}")
-    return k + L - 1
 
 
 def transform_length(L: int, K: int) -> int:
@@ -175,21 +168,15 @@ class WeightProfile:
 def cross_correlation(x, y) -> np.ndarray:
     """Aperiodic cross-correlation C_xy(k) = sum_l x[l] * conj(y[l+k]).
 
-    Direct O(L^2) sum; this is the oracle against which the FFT path is
-    checked.  Returns lags -(L-1) ... L-1.
+    Direct O(L^2) sum, numpy's correlate; this is the oracle against which
+    the FFT path is checked.  Returns lags -(L-1) ... L-1.
     """
     x = as_sequence(x)
     y = as_sequence(y)
     if x.size != y.size:
         raise ValueError("x and y must have equal length")
-    L = x.size
-    out = np.zeros(2 * L - 1, dtype=np.complex128)
-    for k in range(-(L - 1), L):
-        if k >= 0:
-            out[lag_index(k, L)] = np.dot(x[: L - k], np.conj(y[k:]))
-        else:
-            out[lag_index(k, L)] = np.dot(x[-k:], np.conj(y[: L + k]))
-    return out
+    # numpy's lag k is C_xy(-k).  Copied, as np.abs of a reversed view can move a bit.
+    return np.correlate(x, y, "full")[::-1].copy()
 
 
 def auto_correlation(x) -> np.ndarray:

@@ -27,6 +27,7 @@ from .sequences import SequencePair, WeightProfile, as_sequence
 __all__ = [
     "forward_spectrum",
     "correlations_via_fft",
+    "cross_correlation_fft",
     "correlations_from_spectra",
     "weighted_spectra",
     "gram_product",

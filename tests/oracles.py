@@ -120,6 +120,20 @@ def proj_unimodular(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross_correlation_per_lag(x, y) -> np.ndarray:
+    """C_xy(k) = sum_l x[l] * conj(y[l+k]) by one dot product per lag k = -(L-1) .. L-1."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    L = x.size
+    out = np.zeros(2 * L - 1, dtype=np.complex128)
+    for k in range(-(L - 1), L):
+        if k >= 0:
+            out[k + L - 1] = np.dot(x[: L - k], np.conj(y[k:]))
+        else:
+            out[k + L - 1] = np.dot(x[-k:], np.conj(y[: L + k]))
+    return out
+
+
 def random_pair(rng: np.random.Generator, L: int):
     x = rng.normal(size=L) + 1j * rng.normal(size=L)
     y = rng.normal(size=L) + 1j * rng.normal(size=L)

@@ -310,6 +310,9 @@ MALFORMED_ARCHIVES = {
     "non_integer_z": lambda doc: doc.update(Z=7.5),
     "z_above_l": lambda doc: doc.update(Z=17),
     "future_format_version": lambda doc: doc.update(format_version=99),
+    # both compare equal to 1
+    "boolean_format_version": lambda doc: doc.update(format_version=True),
+    "float_format_version": lambda doc: doc.update(format_version=1.0),
     "boolean_entry": lambda doc: _set_entry(doc, [True, False]),
     "integer_beyond_float_entry": lambda doc: _set_entry(doc, [10 ** 400, 0]),
     # finite, but its correlations overflow
@@ -360,10 +363,11 @@ def test_malformed_archive_exits_2(tmp_path, command, case):
     ["evaluate", "--pair", "golay:abc", "--zone", "4", "--out-prefix", "{d}/e"],
     ["design", "--length", "16", "--zone", "8", "--restarts", "0", "--out", "{d}/a.json"],
     ["design", "--length", "4", "--zone", "2", "--papr", "7", "--out", "{d}/a.json"],
+    ["evaluate", "--pair", "golay:8", "--doppler-max", "-1", "--out-prefix", "{d}/e"],
 ], ids=["length-1", "alpha-2", "papr-nan", "max-iter-negative", "tol-nan",
         "target-negative", "target-nan", "target-inf", "tol-inf", "seed-negative", "out-empty",
         "out-prefix-empty", "doppler-samples-0", "doppler-max-nan", "siso-pri-0", "compare-zone-above-l",
-        "golay-length-not-a-number", "restarts-0", "papr-above-l"])
+        "golay-length-not-a-number", "restarts-0", "papr-above-l", "doppler-max-negative"])
 def test_bad_flags_exit_2(tmp_path, monkeypatch, argv):
     # An empty output path would resolve in the working directory.
     monkeypatch.chdir(tmp_path)
@@ -379,7 +383,10 @@ def test_bad_flags_exit_2(tmp_path, monkeypatch, argv):
     # finite phases theta, but theta * n overflows at the last PRI
     (["evaluate", "--pair", "golay:16", "--zone", "8", "--doppler-max", "1e308",
       "--out-prefix", "{d}/e"], "--doppler-max"),
-], ids=["evaluate-overflow", "compare-overflow", "doppler-max-inf", "doppler-span-overflow"])
+    (["evaluate", "--pair", "golay:8", "--doppler-max", "-1", "--out-prefix", "{d}/e"],
+     "doppler_max must be nonnegative"),
+], ids=["evaluate-overflow", "compare-overflow", "doppler-max-inf", "doppler-span-overflow",
+        "doppler-max-negative"])
 def test_rejection_prints_only_the_error_line(tmp_path, argv, blamed):
     # Run as a user does, outside pytest's warning filter, so that a numpy
     # RuntimeWarning would reach stderr instead of raising.
@@ -398,6 +405,17 @@ def test_rejection_prints_only_the_error_line(tmp_path, argv, blamed):
     assert blamed in res.stderr
     assert res.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+def test_internal_error_names_the_exception_type(tmp_path, monkeypatch, capsys):
+    def out_of_memory(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(qozcp.cli, "solve", out_of_memory)
+    assert main(["design", "--length", "16", "--zone", "8",
+                 "--out", str(tmp_path / "a.json")]) == 1
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_output_directory_exits_2_before_work(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from qozcp.sequences import (
 )
 from qozcp.waveform import golay_pair
 
-from oracles import random_pair
+from oracles import cross_correlation_per_lag, random_pair
 
 
 def test_cross_correlation_two_term():
@@ -27,6 +27,22 @@ def test_cross_correlation_two_term():
 def test_cross_correlation_all_ones():
     out = cross_correlation([1, 1], [1, 1])
     assert np.allclose(out, [1, 2, 1])
+
+
+def _test_input(kind, rng, L):
+    if kind == "gaussian":
+        return rng.normal(size=L) + 1j * rng.normal(size=L)
+    if kind == "unit-modulus-1e150":
+        return np.exp(2j * np.pi * rng.random(L)) * 1e150
+    return rng.integers(-3, 4, size=L) + 1j * rng.integers(-3, 4, size=L)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "unit-modulus-1e150", "small-integer"])
+@pytest.mark.parametrize("L", [2, 3, 8, 64, 257, 4096])
+def test_cross_correlation_matches_per_lag_sum_exactly(L, kind):
+    rng = np.random.default_rng(L)
+    x, y = _test_input(kind, rng, L), _test_input(kind, rng, L)
+    assert np.array_equal(cross_correlation(x, y), cross_correlation_per_lag(x, y))
 
 
 def test_cross_correlation_length_mismatch():
