@@ -196,11 +196,12 @@ def reverse_conjugate(x) -> np.ndarray:
 
 def papr(x) -> float:
     """Peak-to-average power ratio, in [1, L]."""
-    x = as_sequence(x)
-    energy = float(np.sum(np.abs(x) ** 2))
-    if energy <= 0.0:
+    mag = np.abs(as_sequence(x))
+    peak = mag.max()
+    if peak == 0.0:
         raise ValueError("papr undefined for zero-energy input")
-    return x.size * float(np.max(np.abs(x) ** 2)) / energy
+    # Powers relative to the peak, so no square overflows or underflows to 0.
+    return mag.size / float(np.sum((mag / peak) ** 2))
 
 
 def objective(pair: SequencePair, wp: WeightProfile) -> float:
@@ -212,8 +213,10 @@ def objective(pair: SequencePair, wp: WeightProfile) -> float:
     """
     if wp.L != pair.length:
         raise ValueError("weight profile length does not match the pair")
-    r = complementary_sum(pair)
-    c = cross_correlation(pair.x, pair.y)
+    full_w, full_wt = wp.symmetric()
+    # Zero-weight lags add nothing, and zeroed they cannot turn 0 * inf into NaN.
+    r = np.where(full_w > 0, complementary_sum(pair), 0)
+    c = np.where(full_wt > 0, cross_correlation(pair.x, pair.y), 0)
     return objective_from_correlations(r, c, wp)
 
 

@@ -50,7 +50,6 @@ every lag vector holds only the lags |k| < ``reach``: the objective, the
 entry bound, the kernels and the target stop read nothing else.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -357,13 +356,6 @@ def _candidate(z_a: np.ndarray, config: SolverConfig, lam_j: float) -> Iterate:
     return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j)[0], wp)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a complex vector from the two real dots that
-    ``np.linalg.norm`` takes, with the same bits and without its dispatch."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def sdamm_step(state: SolverState, config: SolverConfig,
                lam_j: float | None = None) -> SolverState:
     """Accelerated fixed-point update with objective-guarded backtracking.
@@ -398,7 +390,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     rec1 = _evaluate(z1, wp)
     z2, v2 = _mm_update(rec1, config, lam_j)
     v2 -= v1
-    norm_v2 = _norm(v2)
+    norm_v2 = float(np.linalg.norm(v2))
     backtracks = 0
 
     def accelerated(a: float) -> Iterate:
@@ -411,7 +403,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
         rec_next = rec1
         alpha_sl = -1.0
     else:
-        alpha_sl = min(-_norm(v1) / norm_v2, -1.0)
+        alpha_sl = min(-float(np.linalg.norm(v1)) / norm_v2, -1.0)
         rec_next = accelerated(alpha_sl)
         while rec_next.objective > obj_t:
             backtracks += 1

@@ -118,8 +118,18 @@ def test_papr_spike():
 
 
 def test_papr_zero_energy_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-energy"):
         papr([0, 0, 0])
+
+
+@pytest.mark.parametrize("x, expected", [
+    ([1e200, 1e200], 1.0),              # the squares overflow
+    ([1e-200, 1e-200], 1.0),            # the squares underflow to 0
+    ([1e-170, 2e-170, 0, 0], 3.2),      # 4 / (1/4 + 1)
+    ([1e-170, 0, 0, 0], 4.0),
+])
+def test_papr_at_both_ends_of_the_float_range(x, expected):
+    assert papr(x) == expected
 
 
 def test_objective_golay_hand_value():
@@ -147,6 +157,19 @@ def test_objective_nonnegative_and_phase_invariant():
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         rotated = SequencePair(phase * x, phase * y)
         assert objective(rotated, wp) == pytest.approx(val, rel=1e-10)
+
+
+def test_objective_of_a_finite_pair_is_never_nan():
+    # |C(k)|^2 overflows at zero-weight lags; their terms are 0, not 0 * inf
+    g = golay_pair(16)
+    big = SequencePair(1e150 * g.x, 1e150 * g.y)
+    x = [1e160, 0, 0, 0]
+    lag_one = WeightProfile(Z=2, w=[0, 1, 0, 0], w_tilde=[0, 1, 0, 0])
+    with np.errstate(over="ignore"):
+        # an in-zone cross lag overflows too, so inf is the honest value
+        assert objective(big, WeightProfile.indicator(16, 8)) == np.inf
+        # only the zero-weight lag 0 overflows
+        assert objective(SequencePair(x, x), lag_one) == 0.0
 
 
 def test_objective_rejects_profile_of_another_length():
