@@ -158,18 +158,16 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
 def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
     """One CSV row per grid cell; numbers are shortest round-trip ``repr``.
 
-    Values with fewer rows or columns than the grid raise ``IndexError``.
+    Values with more or fewer rows or columns than the grid raise ``ValueError``.
     """
     thetas = [repr(theta) for theta in surface.grid.dopplers.tolist()]
-    parts = (surface.values.real, surface.values.imag, surface.modulus())
+    rows = zip(surface.grid.delays.tolist(), surface.values.real, surface.values.imag,
+               surface.modulus(), strict=True)
     with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
-        for i, k in enumerate(surface.grid.delays.tolist()):
-            re, im, mod = (part[i].tolist() for part in parts)
-            if len(re) < len(thetas):
-                raise IndexError(f"surface row {i} is narrower than the Doppler grid")
-            fh.write("".join([f"{k},{theta},{a!r},{b!r},{m!r}\n"
-                              for theta, a, b, m in zip(thetas, re, im, mod)]))
+        for k, re, im, mod in rows:
+            fh.write("".join([f"{k},{theta},{a!r},{b!r},{m!r}\n" for theta, a, b, m in
+                              zip(thetas, re.tolist(), im.tolist(), mod.tolist(), strict=True)]))
 
 
 def _load_pair(ref: str) -> tuple[SequencePair, int | None]:
@@ -353,7 +351,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "compare" and len(args.pair) != 2:
-        parser.exit(2, "compare needs exactly two --pair inputs\n")
+        parser.error("compare needs exactly two --pair inputs")
     try:
         return args.func(args)
     except UsageError as exc:

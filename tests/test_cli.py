@@ -252,12 +252,17 @@ def test_bad_golay_spec_exits_2():
     assert rc == 2
 
 
-def test_usage_error_exit_code(tmp_path, monkeypatch):
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for argv in (["design", "--length", "16"], ["compare", "--pair", "golay:16"]):
+    for argv in (["design", "--length", "16"], ["compare", "--pair", "golay:16"],
+                 ["compare"] + ["--pair", "golay:16"] * 3):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qozcp")
+        if argv[0] == "compare":
+            assert "error: compare needs exactly two --pair inputs" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -467,13 +472,19 @@ def _failing_writes(path):
     config = SolverConfig(L=16, Z=8)
     # json cannot encode the object, so the archive stops mid-document
     yield lambda: write_archive(str(path), golay_pair(16), config, metrics={"bad": object()})
-    # one delay row more than the values hold, so the table stops mid-row
+    # one delay row more than the values hold, so the table stops after their last row
     grid = DelayDopplerGrid(delays=np.arange(-2, 3), dopplers=np.array([0.0, 1.0]))
     surface = AmbiguitySurface(grid=grid, values=np.ones((4, 2), dtype=complex))
     yield lambda: write_surface_table(str(path), surface)
     # one Doppler column fewer than the grid, so the table stops at its first row
     narrow = AmbiguitySurface(grid=grid, values=np.ones((5, 1), dtype=complex))
     yield lambda: write_surface_table(str(path), narrow)
+    # one Doppler column more than the grid, so the table stops at its first row
+    wide = AmbiguitySurface(grid=grid, values=np.ones((5, 3), dtype=complex))
+    yield lambda: write_surface_table(str(path), wide)
+    # one delay row more than the grid, so the table stops after its last row
+    tall = AmbiguitySurface(grid=grid, values=np.ones((6, 2), dtype=complex))
+    yield lambda: write_surface_table(str(path), tall)
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -482,7 +493,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, existing):
     if existing:
         path.write_text("previous contents\n")
     for write in _failing_writes(path):
-        with pytest.raises((TypeError, IndexError)):
+        with pytest.raises((TypeError, ValueError)):
             write()
         if existing:
             assert path.read_text() == "previous contents\n"
