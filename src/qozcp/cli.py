@@ -158,16 +158,20 @@ def read_archive(path: str) -> tuple[SequencePair, dict]:
 def write_surface_table(path: str, surface: AmbiguitySurface) -> None:
     """One CSV row per grid cell; numbers are shortest round-trip ``repr``.
 
-    Values with more or fewer rows or columns than the grid raise ``ValueError``.
+    Values of any shape other than (len(delays), len(dopplers)) raise
+    ``ValueError`` before anything is written.
     """
-    thetas = [repr(theta) for theta in surface.grid.dopplers.tolist()]
-    rows = zip(surface.grid.delays.tolist(), surface.values.real, surface.values.imag,
-               surface.modulus(), strict=True)
+    grid = surface.grid
+    if surface.values.shape != (grid.delays.size, grid.dopplers.size):
+        raise ValueError(f"surface values of shape {surface.values.shape} do not fit a "
+                         f"{grid.delays.size} x {grid.dopplers.size} delay-Doppler grid")
+    thetas = [repr(theta) for theta in grid.dopplers.tolist()]
+    rows = zip(grid.delays.tolist(), surface.values.real, surface.values.imag, surface.modulus())
     with _atomic_open(path) as fh:
         fh.write("k,theta,re,im,modulus\n")
         for k, re, im, mod in rows:
             fh.write("".join([f"{k},{theta},{a!r},{b!r},{m!r}\n" for theta, a, b, m in
-                              zip(thetas, re.tolist(), im.tolist(), mod.tolist(), strict=True)]))
+                              zip(thetas, re.tolist(), im.tolist(), mod.tolist())]))
 
 
 def _load_pair(ref: str) -> tuple[SequencePair, int | None]:

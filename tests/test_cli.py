@@ -468,23 +468,21 @@ def test_evaluate_siso_ignores_a_caf_directory(tmp_path):
 
 
 def _failing_writes(path):
-    """Writes to ``path`` that each fail part-way through."""
+    """Writes to ``path`` that each fail, with the exception each raises."""
     config = SolverConfig(L=16, Z=8)
     # json cannot encode the object, so the archive stops mid-document
-    yield lambda: write_archive(str(path), golay_pair(16), config, metrics={"bad": object()})
-    # one delay row more than the values hold, so the table stops after their last row
+    yield TypeError, lambda: write_archive(str(path), golay_pair(16), config,
+                                           metrics={"bad": object()})
+    # values of any shape but the grid's raise before the table is opened
     grid = DelayDopplerGrid(delays=np.arange(-2, 3), dopplers=np.array([0.0, 1.0]))
-    surface = AmbiguitySurface(grid=grid, values=np.ones((4, 2), dtype=complex))
-    yield lambda: write_surface_table(str(path), surface)
-    # one Doppler column fewer than the grid, so the table stops at its first row
-    narrow = AmbiguitySurface(grid=grid, values=np.ones((5, 1), dtype=complex))
-    yield lambda: write_surface_table(str(path), narrow)
-    # one Doppler column more than the grid, so the table stops at its first row
-    wide = AmbiguitySurface(grid=grid, values=np.ones((5, 3), dtype=complex))
-    yield lambda: write_surface_table(str(path), wide)
-    # one delay row more than the grid, so the table stops after its last row
-    tall = AmbiguitySurface(grid=grid, values=np.ones((6, 2), dtype=complex))
-    yield lambda: write_surface_table(str(path), tall)
+    for shape in [(4, 2),       # one delay row fewer than the grid
+                  (5, 1),       # one Doppler column fewer
+                  (5, 3),       # one Doppler column more
+                  (6, 2),       # one delay row more
+                  (5, 2, 1),    # an extra axis, whose cells would print as lists
+                  (10,)]:       # the grid's cells flattened
+        surface = AmbiguitySurface(grid=grid, values=np.ones(shape, dtype=complex))
+        yield ValueError, lambda surface=surface: write_surface_table(str(path), surface)
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -492,8 +490,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, existing):
     path = tmp_path / "out"
     if existing:
         path.write_text("previous contents\n")
-    for write in _failing_writes(path):
-        with pytest.raises((TypeError, ValueError)):
+    for error, write in _failing_writes(path):
+        with pytest.raises(error):
             write()
         if existing:
             assert path.read_text() == "previous contents\n"

@@ -115,7 +115,7 @@ def test_full_zone_keeps_the_2l_transform_bits():
     assert np.array_equal(rec.r, r) and np.array_equal(rec.c, c)
     # the same trajectory as with 2L transforms throughout
     _, state = solve(SolverConfig(L=L, Z=L, mode="unimodular", seed=0))
-    assert (state.stop_reason, state.iteration) == ("stalled", 70)
+    assert (state.stop_reason, state.iteration) == ("stalled", 113)
 
 
 def test_proj_unimodular_phase_alignment():
@@ -503,13 +503,23 @@ def test_solve_stops_at_zone_target():
 
 
 @pytest.mark.parametrize("L, Z, seed, steps", [
-    (64, 30, 0, 417), (64, 30, 1, 193), (64, 30, 2, 154), (256, 100, 1, 187),
+    pytest.param(64, 30, 0, 368, id="64-30-0"), pytest.param(64, 30, 1, 177, id="64-30-1"),
+    pytest.param(64, 30, 2, 150, id="64-30-2"), pytest.param(256, 100, 1, 154, id="256-100-1"),
 ])
 def test_papr_trajectories_are_pinned(L, Z, seed, steps):
     # PAPR increments are the differences of the iterates; these counts
-    # change only with the arithmetic of the PAPR trajectory.
+    # change only with the arithmetic of the PAPR trajectory or with the
+    # step-length rule.
     _, state = solve(SolverConfig(L=L, Z=Z, seed=seed))
     assert (state.stop_reason, state.iteration) == ("target", steps)
+
+
+def test_near_capacity_unimodular_zone_reaches_target():
+    # Z = 18 is near the largest zone a unimodular L = 64 pair can clear by
+    # counting conditions and unknowns, (2L + 1) / 6 = 21.5; a step length
+    # that loses such zones fails here, in well under a second.
+    _, state = solve(SolverConfig(L=64, Z=18, mode="unimodular", seed=0))
+    assert (state.stop_reason, state.iteration) == ("target", 323)
 
 
 def test_unimodular_solve_reaches_target(monkeypatch):
@@ -527,7 +537,7 @@ def test_unimodular_solve_reaches_target(monkeypatch):
 
     monkeypatch.setattr(solver, "sdamm_step", checked)
     pair, state = solve(config)
-    assert (state.stop_reason, state.iteration) == ("target", 126)
+    assert (state.stop_reason, state.iteration) == ("target", 83)
     assert len(worst) == state.iteration and max(worst) <= 1e-12
     assert np.all(np.diff(state.objective_history) <= 0)
     lags = np.abs(np.arange(1 - L, L))
@@ -631,11 +641,12 @@ def test_sdamm_step_stops_backtracking_after_101_halvings(monkeypatch):
 
     config, state = _start("papr")
     z, rec, obj = state.z, state.record, state.objective_history[-1]
-    # v2 = inc2 - v1 has ||v1|| / ||v2|| = 1e20: a = -1e20 takes 121 halvings to reach -1
+    # v2 = inc2 - v1 is one ulp of 1e-3 antiparallel to v1, so S1 = S3 = -4.6e15,
+    # which takes 105 halvings to reach -1
     v1 = np.zeros_like(z)
     v1[0] = 1e-3
-    inc2 = v1.copy()
-    inc2[1] = 1e-23
+    inc2 = np.zeros_like(z)
+    inc2[0] = np.nextafter(1e-3, 0)
     increments = [v1, inc2]
     stepped = []
 
@@ -655,9 +666,50 @@ def test_sdamm_step_stops_backtracking_after_101_halvings(monkeypatch):
     assert any(state.z is z_k for z_k in (z, *stepped))
 
 
-def _start(mode):
+@pytest.mark.parametrize("case", ["high and falling", "first step", "below the floor",
+                                  "after a slow step", "v1 and v2 not opposed"])
+def test_sdamm_step_length_rule(monkeypatch, case):
+    import qozcp.solver as solver
+
+    config, state = _start("papr")
+    # v1 = e0 and v2 = (-1/8) e0 + (1/8) e1: S1 = <v1, v2> / ||v2||^2 = -4 and
+    # S3 = -||v1|| / ||v2|| = -4 sqrt(2)
+    v1 = np.zeros_like(state.z)
+    v1[0] = 1.0
+    v2 = np.zeros_like(state.z)
+    v2[:2] = -0.125, 0.125
+    s1, s3 = -4.0, -4.0 * math.sqrt(2.0)
+    high = 1.0
+    low = 0.5 * solver._S1_FLOOR * config.L ** 2
+    history, expected = {
+        "high and falling": ([2.0 * high, high], s1),
+        "first step": ([high], s1),
+        "below the floor": ([2.0 * low, low], s3),
+        "after a slow step": ([high / (1.0 - 0.5 * solver._S1_MIN_FALL), high], s3),
+        "v1 and v2 not opposed": ([2.0 * high, high], -1.0),
+    }[case]
+    if case == "v1 and v2 not opposed":
+        v2[0] = 0.125                       # S1 = +4 clips to -1
+    increments = [v1, v1 + v2]
+
+    def plain(rec, config, lam_j):
+        inc = increments.pop(0)
+        return rec.z + inc, inc
+
+    def lower(z_a, config, lam_j):
+        return rec._replace(z=z_a, objective=0.5 * history[-1])
+
+    rec = state.record._replace(objective=history[-1])
+    state = SolverState(z=rec.z, objective_history=list(history), record=rec)
+    monkeypatch.setattr(solver, "_mm_update", plain)
+    monkeypatch.setattr(solver, "_candidate", lower)
+    state = sdamm_step(state, config)
+    assert state.last_step == {"alpha_sl": pytest.approx(expected, rel=1e-12), "backtracks": 0}
+
+
+def _start(mode, seed=5):
     """A config and the state ``solve`` starts from, record included."""
-    config = SolverConfig(L=16, Z=8, mode=mode, seed=5, max_iter=0)
+    config = SolverConfig(L=16, Z=8, mode=mode, seed=seed, max_iter=0)
     return config, solve(config)[1]
 
 
@@ -679,7 +731,8 @@ def test_sdamm_step_cached_record_matches_bare_state(mode):
 def test_sdamm_step_evaluation_budget(monkeypatch, mode):
     import qozcp.solver as solver
 
-    config, state = _start(mode)
+    # seed 0 backtracks in both modes within the 60 steps (5 and 8 times)
+    config, state = _start(mode, seed=0)
     lam = lambda_j(config.weights, config.L)
     calls = []
 
