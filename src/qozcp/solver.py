@@ -33,6 +33,19 @@ for w = s |z| - q conj(u), with no trigonometric call; where Re w > 0 its
 real part is -(Im w)^2 / (|w| (|w| + Re w)), free of cancellation.  PAPR
 mode keeps the difference of the iterates.
 
+Near a solution the MM map converges only linearly, and slowly near the
+zone's capacity.  Each step can therefore try a fifth candidate besides
+SQUAREM's, z1, z2 and the kept iterate: a Gauss-Newton point on the zone
+residuals (:func:`_gauss_newton`), the minimum-norm step that CGLS finds
+with the Jacobian products of :func:`linearized_correlations` and their
+adjoint :func:`gram_product`.  The gate opens once the objective is below
+``_GN_LEVEL`` * L and the last ``_GN_WINDOW`` steps shrank it by a geometric
+mean of at least ``_GN_CONTRACTION`` each, and stays open while the point
+wins.  The point is taken only if it lowers the objective; a refused point
+closes the gate until the objective is below a tenth of its value there
+(``SolverState.gn_level``), and the step goes on with SQUAREM as if it had
+not been tried.
+
 A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``target`` (both in-zone correlation maxima at or below the target),
 ``floor`` (no step lowers the objective, so the iterate is kept), ``stalled``
@@ -47,7 +60,10 @@ so a step takes at most 2 evaluations and 2 MM updates, plus 1 evaluation
 per backtrack.  In PAPR mode the candidate is a plain step from the
 extrapolated point, evaluated before and after, so a step takes at most 3
 evaluations and 3 MM updates, plus 2 evaluations and 1 MM update per
-backtrack.
+backtrack.  A step that tries the Gauss-Newton point evaluates it first and
+only it: when the point wins, that is the step's one evaluation and it takes
+no MM update; when it is refused, the step takes exactly one evaluation
+more than the bounds above.
 
 Every transform in the loop has the weight profile's length ``n_fft`` and
 every lag vector holds only the lags |k| < ``reach``: the objective, the
@@ -69,6 +85,7 @@ from .spectral import (
     correlations_from_spectra,
     forward_spectrum,
     gram_product,
+    linearized_correlations,
     weighted_spectra,
 )
 
@@ -158,7 +175,9 @@ class SolverState:
 
     ``record`` is the evaluation of ``z`` left by the step that produced it.
     It is trusted only while ``record.z is z``; a state built from a bare
-    ``z`` is evaluated on its first step.
+    ``z`` is evaluated on its first step.  ``gn_level`` caps the objective
+    below which :func:`sdamm_step` may try its Gauss-Newton candidate; a
+    refused Gauss-Newton point lowers it to a tenth of the objective there.
     """
 
     z: np.ndarray
@@ -167,6 +186,7 @@ class SolverState:
     last_step: dict = field(default_factory=dict)
     record: Iterate | None = field(default=None, repr=False)
     stop_reason: str | None = None
+    gn_level: float = np.inf
 
     @property
     def pair(self) -> SequencePair:
@@ -265,7 +285,8 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         # Past a row's nonzero entries a2 and tail are 0, so delta2 * a2 is
         # NaN and the search passes them by.
         delta2 = (p_e - np.arange(L) * p_c ** 2) / tail
-        s = (delta2 * a2 <= p_c ** 2).argmax(axis=-1)
+        passes = delta2 * a2 <= p_c ** 2
+        s = passes.argmax(axis=-1)
         gain = np.sqrt(delta2[np.arange(s.size), s])[:, None] / peak
         out = rows * np.minimum(gain, cap)
     if some_spread:
@@ -277,6 +298,20 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         fill = np.sqrt(np.maximum(p_e - m * p_c ** 2, 0.0) / np.maximum(L - m, 1))
         out[spread] = np.multiply(rows[spread], cap[spread], where=mags[spread] > 0.0,
                                   out=np.broadcast_to(fill, (m.size, L)).astype(np.complex128))
+    for i in np.flatnonzero(~passes[np.arange(s.size), s]):
+        if np.count_nonzero(mags[i]) * p_c ** 2 <= p_e:
+            continue                            # filled above
+        # No s passes when the squares of a row's small entries underflow
+        # against its peak: its s0 entries whose squares register all
+        # saturate, and the rest of the row is water-filled on its own with
+        # the energy they leave.
+        s0 = int(np.count_nonzero(tail[i] > 0.0))
+        if s0 == 0:
+            raise ValueError("proj_papr needs finite entries")
+        order = np.argsort(mags[i])[::-1]
+        out[i, order[:s0]] = rows[i, order[:s0]] * cap[i, order[:s0]]
+        if s0 < L:
+            out[i, order[s0:]] = proj_papr(rows[i, order[s0:]], max(p_e - s0 * p_c ** 2, 0.0), p_c)
     return out.reshape(v.shape)
 
 
@@ -374,6 +409,123 @@ hurts PAPR at L = 1024 and 4096, where S1 then runs too close to the target;
 without the fall test PAPR (64, 40) stays on S1 at an objective of 3.6e-2.
 """
 
+_GN_LEVEL = 1e-4
+"""Gauss-Newton only while the objective is below this times L (see :func:`sdamm_step`)."""
+_GN_WINDOW = 5
+_GN_CONTRACTION = 0.85
+"""Gauss-Newton only once the last ``_GN_WINDOW`` steps shrank the objective
+by at least this ratio each, as a geometric mean.
+
+Where the zone is easy SQUAREM still contracts fast after the objective is
+below ``_GN_LEVEL`` * L, and a Gauss-Newton point there costs more than the
+steps it saves.  Near capacity it stalls.  Measured without the candidate:
+the five-step mean below the level never exceeds 0.79 on the
+``zone-target-L4096-unimodular`` bench inputs (seeds 0-9, rounds 0-11) and
+0.59 on the 50 (64, 10) inputs of ``design-L64-papr`` (seeds 0-9, rounds
+0-4).  On the 50 (64, 30) inputs it first reaches 0.85 after 31-88 steps in
+49 runs and peaks at 0.84-0.99.
+"""
+_CGLS_TOL = 1e-2
+_CGLS_MAX_ITER = 50
+"""CGLS stops once its gradient is ``_CGLS_TOL`` of the first, or after this many iterations.
+
+Near capacity most solves stop at the cap: the Jacobian is then nearly
+square and ill-conditioned.  The cap bounds what a refused point costs, and
+with both values PAPR (64, 36), (64, 40) and (256, 150) and unimodular
+(64, 21), (128, 40), (128, 42) and (256, 80), seeds 0 and 1, reach the zone
+target in under 2 s each.
+"""
+
+
+def _cgls(forward, adjoint, residual: tuple, wp: WeightProfile) -> tuple[np.ndarray, int]:
+    """Minimum-norm least-squares x of forward(x) = -residual by CGLS from zero.
+
+    ``forward`` maps x to lag vectors (r, c), measured in the objective's
+    weighted norm, and ``adjoint`` is its adjoint in that norm.  Returns x
+    and the iteration count.
+    """
+    rho = [-e for e in residual]
+    s = adjoint(rho)
+    x, p = np.zeros_like(s), s
+    gamma = first = float(np.vdot(s, s).real)
+    k = 0
+    while k < _CGLS_MAX_ITER and gamma > _CGLS_TOL ** 2 * first:
+        q = forward(p)
+        a = gamma / objective_from_correlations(q[0], q[1], wp)
+        x += a * p
+        rho = [e - a * d for e, d in zip(rho, q)]
+        s = adjoint(rho)
+        gamma, old = float(np.vdot(s, s).real), gamma
+        p = s + (gamma / old) * p
+        k += 1
+    return x, k
+
+
+def _papr_tangent(z: np.ndarray, held: np.ndarray, L: int):
+    """Orthogonal projector onto the steps that keep, to first order, each
+    sequence's energy and the modulus of each ``held`` entry.
+
+    The normals of the two kinds of condition are orthogonal once the
+    energy normal of a row, the row itself, drops its held entries.
+    """
+    radial = np.divide(z, np.abs(z), out=np.zeros_like(z), where=held)
+    rest = np.where(held, 0.0, z).reshape(2, L)
+    norms = np.linalg.norm(rest, axis=-1, keepdims=True)
+    rest = np.divide(rest, norms, out=np.zeros_like(rest), where=norms > 0.0)
+
+    def project(dz):
+        dz = (dz - (np.conj(radial) * dz).real * radial).reshape(2, L)
+        return (dz - (np.conj(rest) * dz).real.sum(axis=-1, keepdims=True) * rest).reshape(-1)
+    return project
+
+
+def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
+    """The feasible Gauss-Newton point from z = rec.z, and its CGLS iteration count.
+
+    The residuals are the zone lags (r, c), the Jacobian products
+    :func:`linearized_correlations` and their adjoint :func:`gram_product`.
+    Below the zone's capacity its 6Z - 4 real conditions are fewer than the
+    unknowns, so the minimum-norm step that CGLS finds from zero converges
+    quadratically to the solution set (Nocedal and Wright, Numerical Optimization, ch. 10).
+    Unimodular unknowns are the 2L phases delta: the point is z e^{i delta}.
+    PAPR unknowns are the 4L reals, restricted to the steps that keep each
+    sequence's energy and the modulus of each entry at the cap to first
+    order (:func:`_papr_tangent`): the minimum-norm step under those linear
+    conditions.  An entry that such a step pushes over the cap is held too,
+    and the step is solved once more, since clipping it would undo the step
+    to first order.  The held entries are rescaled to their modulus and one
+    :func:`proj_papr` call on the (2, L) stack restores exact feasibility.
+    """
+    wp, L, z, f = config.weights, config.L, rec.z, rec.spectra
+
+    def lags(dz):
+        return linearized_correlations(f, forward_spectrum(dz.reshape(2, L), wp.n_fft), wp.reach)
+
+    def lags_adjoint(rho):
+        return gram_product(weighted_spectra(rho[0], rho[1], wp), f, wp)
+
+    if config.mode == "unimodular":
+        turn = 1j * z
+        delta, k = _cgls(lambda d: lags(turn * d),
+                         lambda rho: (np.conj(turn) * lags_adjoint(rho)).real,
+                         (rec.r, rec.c), wp)
+        return z * np.exp(1j * delta), k
+    mag = np.abs(z)
+    held = mag >= config.p_c * (1.0 - 1e-12)
+    iterations = 0
+    for _ in range(2):
+        tangent = _papr_tangent(z, held, L)
+        dz, k = _cgls(lambda d: lags(tangent(d)), lambda rho: tangent(lags_adjoint(rho)),
+                      (rec.r, rec.c), wp)
+        iterations += k
+        z_gn = z + dz
+        over = (np.abs(z_gn) > config.p_c) & ~held
+        if not over.any():
+            break
+        held |= over
+    z_gn[held] *= mag[held] / np.abs(z_gn[held])
+    return proj_papr(z_gn.reshape(2, L), config.p_e, config.p_c).reshape(-1), iterations
+
 
 def sdamm_step(state: SolverState, config: SolverConfig,
                lam_j: float | None = None) -> SolverState:
@@ -393,10 +545,17 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     M(z_a) in PAPR mode (Varadhan and Roland, Scand. J. Stat. 2008).  a is
     halved towards -1 while the candidate raises the objective; if it still
     does at a = -1, where z_a is z2, the step takes the better of z1 and z2.
-    Appends the new objective to ``state.objective_history`` in place and
-    hands the same list to the returned state.  When no candidate lowers the
-    objective, which only round-off allows, the step keeps the current
-    iterate and its record, so the history never rises.
+    Before all this, once the objective is low and SQUAREM contracts slowly
+    (module docstring), the step tries the Gauss-Newton point of
+    :func:`_gauss_newton` and takes it, with no SQUAREM work, if it lowers
+    the objective.  Appends the new objective to ``state.objective_history``
+    in place and hands the same list to the returned state.  When no
+    candidate lowers the objective, which only round-off allows, the step
+    keeps the current iterate and its record, so the history never rises.
+    ``last_step`` names the winner, ``candidate``: ``squarem``, ``z1``,
+    ``z2``, ``gn`` or ``kept``; ``gn_iterations`` is the CGLS count, 0 when
+    no Gauss-Newton point was evaluated, and ``alpha_sl`` is None after one
+    won.
     """
     wp = config.weights
     if lam_j is None:
@@ -408,6 +567,17 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     obj_t = rec_t.objective
     if not np.isfinite(obj_t):
         raise FloatingPointError("non-finite objective at current iterate")
+
+    hist, gn_level, gn_iterations = state.objective_history, state.gn_level, 0
+    if state.last_step.get("candidate") == "gn" or (
+            obj_t < min(gn_level, _GN_LEVEL * config.L) and len(hist) > _GN_WINDOW
+            and obj_t >= _GN_CONTRACTION ** _GN_WINDOW * hist[-1 - _GN_WINDOW]):
+        z_gn, gn_iterations = _gauss_newton(rec_t, config)
+        if gn_iterations:
+            rec_gn = _evaluate(z_gn, wp)
+            if rec_gn.objective < obj_t:
+                return _next_state(state, rec_gn, None, 0, "gn", gn_iterations, gn_level)
+            gn_level = 0.1 * obj_t
 
     z1, v1 = _mm_update(rec_t, config, lam_j)
     rec1 = _evaluate(z1, wp)
@@ -421,12 +591,12 @@ def sdamm_step(state: SolverState, config: SolverConfig,
         z_a += a ** 2 * v2
         return _candidate(z_a, config, lam_j)
 
+    candidate = "squarem"
     if norm_v2 == 0.0:
         # Fixed point of the plain map; nothing left to extrapolate.
-        rec_next = rec1
+        rec_next, candidate = rec1, "z1"
         alpha_sl = -1.0
     else:
-        hist = state.objective_history
         falling = len(hist) < 2 or hist[-2] - obj_t > _S1_MIN_FALL * hist[-2]
         if falling and obj_t > _S1_FLOOR * config.L ** 2:
             alpha_sl = float(np.vdot(v2, v1).real) / norm_v2 ** 2
@@ -439,21 +609,30 @@ def sdamm_step(state: SolverState, config: SolverConfig,
             if alpha_sl >= -1.0 or backtracks > 100:
                 # alpha_sl = -1 reduces the step to a plain update from z2,
                 # which the majorization guarantee makes non-increasing.
-                rec_next = min((rec1, _evaluate(z2, wp)), key=lambda rec: rec.objective)
+                rec2 = _evaluate(z2, wp)
+                rec_next, candidate = min((rec1, "z1"), (rec2, "z2"),
+                                          key=lambda pick: pick[0].objective)
                 break
             alpha_sl = (alpha_sl - 1.0) / 2.0
             rec_next = accelerated(alpha_sl)
     if rec_next.objective > obj_t:
-        rec_next = rec_t
+        rec_next, candidate = rec_t, "kept"
+    return _next_state(state, rec_next, alpha_sl, backtracks, candidate, gn_iterations, gn_level)
 
+
+def _next_state(state: SolverState, rec: Iterate, alpha_sl: float | None, backtracks: int,
+                candidate: str, gn_iterations: int, gn_level: float) -> SolverState:
+    """The state after one step that chose ``rec``; appends its objective to the history in place."""
     history = state.objective_history
-    history.append(rec_next.objective)
+    history.append(rec.objective)
     return SolverState(
-        z=rec_next.z,
+        z=rec.z,
         iteration=state.iteration + 1,
         objective_history=history,
-        last_step={"alpha_sl": alpha_sl, "backtracks": backtracks},
-        record=rec_next,
+        last_step={"alpha_sl": alpha_sl, "backtracks": backtracks,
+                   "candidate": candidate, "gn_iterations": gn_iterations},
+        record=rec,
+        gn_level=gn_level,
     )
 
 

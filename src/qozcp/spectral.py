@@ -29,6 +29,7 @@ __all__ = [
     "correlations_via_fft",
     "cross_correlation_fft",
     "correlations_from_spectra",
+    "linearized_correlations",
     "weighted_spectra",
     "gram_product",
     "fft_to_lag_order",
@@ -115,6 +116,22 @@ def correlations_from_spectra(f: np.ndarray, K: int) -> tuple[np.ndarray, np.nda
     return tuple(_lag_correlation(product, K))
 
 
+def linearized_correlations(f: np.ndarray, df: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian product J dz: the lags |k| < K of the first-order changes (dr, dc).
+
+    ``f`` and ``df`` are the (2, n) padded transforms of the rows of z and of
+    a direction dz.  The spectral products of :func:`correlations_from_spectra`
+    change to first order by 2 Re(conj(f) df) summed over the rows and by
+    conj(df_x) f_y + conj(f_x) df_y; one inverse transform of the two gives
+    both lag vectors.  The adjoint is :func:`gram_product`.
+    """
+    product = np.empty_like(f)
+    product[0] = 2.0 * (np.conjugate(f) * df).real.sum(axis=0)
+    np.multiply(np.conjugate(df[0]), f[1], out=product[1])
+    product[1] += np.conjugate(f[0]) * df[1]
+    return tuple(_lag_correlation(product, K))
+
+
 def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndarray:
     """DFTs ``mu`` (2, n) of t_r = w .* r and t_c = wt .* c in FFT order.
 
@@ -146,6 +163,12 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     band |k| < K it is exact for n >= L + K - 1.  The alpha mix is applied to
     the spectra, so one (2, n) inverse transform yields both output rows.
     The test-only dense construction of Q pins every sign and conjugation.
+
+    It is also J^T, the adjoint of :func:`linearized_correlations` at z: for
+    lag vectors a with a_{-k} = conj(a_k), as every r and dr has, and any b,
+    Re <gram_product(weighted_spectra(a, b, wp), f, wp), dz> equals
+    alpha Re sum_k w_|k| conj(a_k) dr_k + (1 - alpha) Re sum_k wt_|k| conj(b_k) dc_k
+    for (dr, dc) = J dz: the weighted inner product of the objective.
     """
     # Rows 0-1 hold the kernels (mu_r_rev, nu_c) = rev(mu), scaled by the
     # mix; rows 2-3 the cross products f_y nu_c and f_x conj(nu_c).  Each

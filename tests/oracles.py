@@ -71,6 +71,29 @@ def dense_descent(z: np.ndarray, wp: WeightProfile, lam_j: float) -> np.ndarray:
     return scale * z - (Q + Q.conj().T) @ z
 
 
+def dense_jacobian(z: np.ndarray, K: int) -> np.ndarray:
+    """d(r, c) / d(Re z, Im z) by direct sums: the lags |k| < K of r, then of c.
+
+    The correlations are sesquilinear, so the change along a unit direction
+    e is exactly C(e_x, x) + C(x, e_x) + C(e_y, y) + C(y, e_y) for r and
+    C(e_x, y) + C(x, e_y) for c; a real (4K - 2) x 4L matrix of complex lags.
+    """
+    L = z.size // 2
+    x, y = z[:L], z[L:]
+    band = slice(L - K, L - 1 + K)
+    columns = []
+    for unit in (1.0, 1j):
+        for j in range(2 * L):
+            e = np.zeros(2 * L, dtype=np.complex128)
+            e[j] = unit
+            e_x, e_y = e[:L], e[L:]
+            dr = (cross_correlation(e_x, x) + cross_correlation(x, e_x)
+                  + cross_correlation(e_y, y) + cross_correlation(y, e_y))
+            dc = cross_correlation(e_x, y) + cross_correlation(x, e_y)
+            columns.append(np.concatenate([dr[band], dc[band]]))
+    return np.stack(columns, axis=1)
+
+
 def gram_product_per_row(mu: np.ndarray, f: np.ndarray, alpha: float, L: int) -> np.ndarray:
     """(Q + Q^H) z with one inverse transform per kernel product, mixed after."""
     f_x, f_y = f

@@ -15,10 +15,12 @@ from qozcp.spectral import (
     fft_to_lag_order,
     forward_spectrum,
     gram_product,
+    linearized_correlations,
     weighted_spectra,
 )
 
 from oracles import (
+    dense_jacobian,
     dense_q,
     gram_product_per_row,
     lag_to_fft_order,
@@ -266,3 +268,70 @@ def test_results_survive_later_calls_at_the_same_length():
         for a, b in zip(out, kept):
             assert np.array_equal(a, b)
 
+
+
+def _random_profile(rng, L, Z):
+    """A non-indicator profile: random weights on the lags below Z, some of them zero."""
+    w = rng.uniform(0.0, 2.0, L) * (np.arange(L) < Z) * (rng.random(L) < 0.8)
+    wt = rng.uniform(0.0, 2.0, L) * (np.arange(L) < Z)
+    w[0] = 0.0
+    wt[0] = 1.0
+    return WeightProfile(Z=Z, w=w, w_tilde=wt, alpha=float(rng.uniform(0.1, 0.9)))
+
+
+def _hermitian(rng, K):
+    """A lag vector a with a_{-k} = conj(a_k), as every r and dr is."""
+    a = rng.normal(size=2 * K - 1) + 1j * rng.normal(size=2 * K - 1)
+    return 0.5 * (a + np.conj(a[::-1]))
+
+
+@pytest.mark.parametrize("L, Z", [(2, 2), (7, 4), (16, 16), (33, 9)])
+def test_linearized_correlations_match_the_dense_jacobian(L, Z):
+    rng = np.random.default_rng(L)
+    wp = WeightProfile.indicator(L, Z)
+    K, n = wp.reach, wp.n_fft
+    z = np.concatenate(random_pair(rng, L))
+    dz = np.concatenate(random_pair(rng, L))
+    dr, dc = linearized_correlations(forward_spectrum(z.reshape(2, L), n),
+                                     forward_spectrum(dz.reshape(2, L), n), K)
+    dense = dense_jacobian(z, K) @ np.concatenate([dz.real, dz.imag])
+    assert np.max(np.abs(np.concatenate([dr, dc]) - dense)) < 1e-12 * L * np.max(np.abs(dense))
+    # The correlations are quadratic in z, so central differences are exact
+    # up to round-off.
+    h = 1e-3
+    ahead = correlations_from_spectra(forward_spectrum((z + h * dz).reshape(2, L), n), K)
+    behind = correlations_from_spectra(forward_spectrum((z - h * dz).reshape(2, L), n), K)
+    for got, a, b in zip((dr, dc), ahead, behind):
+        assert np.max(np.abs(got - (a - b) / (2.0 * h))) < 1e-9 * L
+
+
+@pytest.mark.parametrize("mode", ["papr", "unimodular"])
+@pytest.mark.parametrize("L, Z", [(8, 5), (64, 20), (257, 40)])
+def test_gram_product_is_the_jacobian_adjoint(mode, L, Z):
+    # <w, J dz> = <J^T w, dz> in the objective's weighted inner product, with
+    # J^T w = gram_product(weighted_spectra(a, b, wp), f, wp).  PAPR unknowns
+    # are dz in C^2L; unimodular unknowns are the phases delta, dz = i z delta,
+    # whose adjoint is Re(conj(i z) J^T w).
+    rng = np.random.default_rng(L + Z)
+    for _ in range(3):
+        wp = _random_profile(rng, L, Z)
+        K, n = wp.reach, wp.n_fft
+        z = np.concatenate(random_pair(rng, L))
+        if mode == "unimodular":
+            z = np.exp(1j * np.angle(z))
+            delta = rng.normal(size=2 * L)
+            dz = 1j * z * delta
+        else:
+            dz = np.concatenate(random_pair(rng, L))
+        f = forward_spectrum(z.reshape(2, L), n)
+        dr, dc = linearized_correlations(f, forward_spectrum(dz.reshape(2, L), n), K)
+        a, b = _hermitian(rng, K), rng.normal(size=2 * K - 1) + 1j * rng.normal(size=2 * K - 1)
+        full_w, full_wt = wp.symmetric()
+        lhs = (wp.alpha * np.vdot(full_w[wp.band] * a, dr).real
+               + (1.0 - wp.alpha) * np.vdot(full_wt[wp.band] * b, dc).real)
+        adjoint = gram_product(weighted_spectra(a, b, wp), f, wp)
+        if mode == "unimodular":
+            rhs = float(np.dot((np.conj(1j * z) * adjoint).real, delta))
+        else:
+            rhs = np.vdot(adjoint, dz).real
+        assert rhs == pytest.approx(lhs, rel=1e-10, abs=1e-12 * L * np.abs(a).sum())
