@@ -461,21 +461,24 @@ def _cgls(forward, adjoint, residual: tuple, wp: WeightProfile) -> tuple[np.ndar
     return x, k
 
 
-def _papr_tangent(z: np.ndarray, held: np.ndarray, L: int):
+def _tangent(z: np.ndarray, held: np.ndarray, L: int):
     """Orthogonal projector onto the steps that keep, to first order, each
     sequence's energy and the modulus of each ``held`` entry.
 
     The normals of the two kinds of condition are orthogonal once the
-    energy normal of a row, the row itself, drops its held entries.
+    energy normal of a row, the row itself, drops its held entries.  With
+    every entry held, as on the unit circle, no energy normal is left and
+    the projector keeps the tangential part i u Im(conj(u) dz) of each entry.
     """
     radial = np.divide(z, np.abs(z), out=np.zeros_like(z), where=held)
     rest = np.where(held, 0.0, z).reshape(2, L)
     norms = np.linalg.norm(rest, axis=-1, keepdims=True)
     rest = np.divide(rest, norms, out=np.zeros_like(rest), where=norms > 0.0)
+    radial_h, rest_h = np.conj(radial), np.conj(rest)
 
     def project(dz):
-        dz = (dz - (np.conj(radial) * dz).real * radial).reshape(2, L)
-        return (dz - (np.conj(rest) * dz).real.sum(axis=-1, keepdims=True) * rest).reshape(-1)
+        dz = (dz - (radial_h * dz).real * radial).reshape(2, L)
+        return (dz - (rest_h * dz).real.sum(axis=-1, keepdims=True) * rest).reshape(-1)
     return project
 
 
@@ -487,14 +490,15 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     Below the zone's capacity its 6Z - 4 real conditions are fewer than the
     unknowns, so the minimum-norm step that CGLS finds from zero converges
     quadratically to the solution set (Nocedal and Wright, Numerical Optimization, ch. 10).
-    Unimodular unknowns are the 2L phases delta: the point is z e^{i delta}.
-    PAPR unknowns are the 4L reals, restricted to the steps that keep each
+    The unknowns are the 4L reals, restricted to the steps that keep each
     sequence's energy and the modulus of each entry at the cap to first
-    order (:func:`_papr_tangent`): the minimum-norm step under those linear
-    conditions.  An entry that such a step pushes over the cap is held too,
-    and the step is solved once more, since clipping it would undo the step
-    to first order.  The held entries are rescaled to their modulus and one
-    :func:`proj_papr` call on the (2, L) stack restores exact feasibility.
+    order (:func:`_tangent`): the minimum-norm step under those linear
+    conditions.  On the unit circle every entry is at the cap p_c = 1, so the
+    step turns each entry's phase, i u t for real t.  An entry that such a
+    step pushes over the cap is held too, and the step is solved once more,
+    since clipping it would undo the step to first order.  The held entries
+    are rescaled to their modulus and one :func:`proj_papr` call on the
+    (2, L) stack restores exact feasibility.
     """
     wp, L, z, f = config.weights, config.L, rec.z, rec.spectra
 
@@ -504,17 +508,11 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     def lags_adjoint(rho):
         return gram_product(weighted_spectra(rho[0], rho[1], wp), f, wp)
 
-    if config.mode == "unimodular":
-        turn = 1j * z
-        delta, k = _cgls(lambda d: lags(turn * d),
-                         lambda rho: (np.conj(turn) * lags_adjoint(rho)).real,
-                         (rec.r, rec.c), wp)
-        return z * np.exp(1j * delta), k
     mag = np.abs(z)
     held = mag >= config.p_c * (1.0 - 1e-12)
     iterations = 0
     for _ in range(2):
-        tangent = _papr_tangent(z, held, L)
+        tangent = _tangent(z, held, L)
         dz, k = _cgls(lambda d: lags(tangent(d)), lambda rho: tangent(lags_adjoint(rho)),
                       (rec.r, rec.c), wp)
         iterations += k

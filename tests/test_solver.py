@@ -18,8 +18,10 @@ from qozcp.solver import (
     SolverConfig,
     SolverState,
     _evaluate,
+    _gauss_newton,
     _mm_update,
     _phase_update,
+    _tangent,
     descent_vector,
     lambda_j,
     lambda_u,
@@ -878,6 +880,58 @@ def test_sdamm_step_refuses_a_rising_gauss_newton_point(monkeypatch):
     # each try after a refusal waits for a tenth of the refused objective
     assert len(tries) >= 2
     assert all(later < 0.1 * earlier for earlier, later in zip(tries, tries[1:]))
+
+
+def _real_inner(a, b):
+    return float(np.vdot(a, b).real)
+
+
+def test_tangent_on_the_unit_circle_turns_each_phase():
+    # Every entry of a unit-modulus pair is at the cap p_c = 1, so all are
+    # held: the projector keeps only each entry's tangential part.
+    rng = np.random.default_rng(3)
+    L = 32
+    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * L))
+    project = _tangent(u, np.ones(2 * L, dtype=bool), L)
+    a, b = (rng.standard_normal(2 * L) + 1j * rng.standard_normal(2 * L) for _ in range(2))
+    pa = project(a)
+    np.testing.assert_allclose(project(pa), pa, rtol=0.0, atol=1e-14)
+    assert _real_inner(pa, b) == pytest.approx(_real_inner(a, project(b)), rel=1e-13)
+    assert np.abs((np.conj(u) * pa).real).max() <= 1e-14
+    # the tangential part is i u Im(conj(u) a)
+    np.testing.assert_allclose(pa, 1j * u * (np.conj(u) * a).imag, rtol=0.0, atol=1e-14)
+
+
+def test_tangent_with_held_and_free_entries_keeps_each_row_energy():
+    # a PAPR-mode point: a third of the entries held at the cap 1.5
+    rng = np.random.default_rng(4)
+    L = 32
+    z = rng.uniform(0.2, 1.0, 2 * L) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2 * L))
+    held = rng.uniform(size=2 * L) < 1 / 3
+    z[held] *= 1.5 / np.abs(z[held])
+    assert held[:L].any() and held[L:].any() and not held.all()
+    project = _tangent(z, held, L)
+    a, b = (rng.standard_normal(2 * L) + 1j * rng.standard_normal(2 * L) for _ in range(2))
+    pa = project(a)
+    np.testing.assert_allclose(project(pa), pa, rtol=0.0, atol=1e-13)
+    assert _real_inner(pa, b) == pytest.approx(_real_inner(a, project(b)), rel=1e-13)
+    # d||x||^2 = 2 Re<x, dx> for each row, and d|z_l| = Re(conj(z_l) dz_l) / |z_l|
+    radial = (np.conj(z) * pa).real
+    assert np.abs(radial.reshape(2, L).sum(axis=-1)).max() <= 1e-14 * L
+    assert np.abs(radial[held]).max() <= 1e-14
+    assert np.abs(radial[~held]).max() > 0.1
+
+
+def test_gauss_newton_point_stays_on_the_unit_circle():
+    # A pinned near-solution state: 60 SQUAREM steps of unimodular (64, 18)
+    # s0, objective 6.5e-3, before the gate first opens.
+    config = SolverConfig(L=64, Z=18, mode="unimodular", seed=0, max_iter=60)
+    _, state = solve(config)
+    assert state.stop_reason == "max_iter"
+    z_gn, iterations = _gauss_newton(state.record, config)
+    assert iterations > 0
+    assert np.abs(np.abs(z_gn) - 1.0).max() <= 1e-12
+    assert _evaluate(z_gn, config.weights).objective < 0.1 * state.objective_history[-1]
 
 
 @pytest.mark.parametrize("mode, L, Z, seed, steps", [
