@@ -13,14 +13,14 @@ along the rows).  The fixed-point map is accelerated with an
 extrapolated step and objective-guarded backtracking (SQUAREM: Varadhan and
 Roland, Scand. J. Stat. 2008), whose step length reads the first and second
 differences v1 and v2 of two plain steps.  One rule serves both feasible
-sets: their S1, <v1, v2> / ||v2||^2, while the objective is high and still
-falling fast, and their S3, -||v1|| / ||v2||, once it is low or after a slow
-step.  S1 is the shorter step (|S1| <= |S3|): it gets lower sooner from a
-random start, and S3 finishes faster near the target.  :func:`_candidate`,
-the only other place that dispatches on the feasible set, turns the
-extrapolated point into a feasible candidate: unit modulus projects it (the
-projected SQUAREM of Song, Babu and Palomar, IEEE T-SP 2015), PAPR mode takes
-one more plain step from it.
+sets: their S1, <v1, v2> / ||v2||^2, while the objective still falls fast,
+and their S3, -||v1|| / ||v2||, after a slow step.  S1 is the shorter step
+(|S1| <= |S3|): it gets lower sooner from a random start, and S3 finishes
+faster near the target.  :func:`_candidate`, the only other place that
+dispatches on the feasible set, turns the extrapolated point into a
+feasible candidate: unit modulus projects it (the projected SQUAREM of Song,
+Babu and Palomar, IEEE T-SP 2015), PAPR mode takes one more plain step from
+it.
 
 In unimodular mode the plain step turns each phase by an angle of order
 |q| / s.  At L = 4096, Z = 256 that ratio falls from about 1e-4 at a random
@@ -38,11 +38,13 @@ zone's capacity.  Each step can therefore try a fifth candidate besides
 SQUAREM's, z1, z2 and the kept iterate: a Gauss-Newton point on the zone
 residuals (:func:`_gauss_newton`), the minimum-norm step that CGLS finds
 with the Jacobian products of :func:`linearized_correlations` and their
-adjoint :func:`gram_product`.  The gate opens once the objective is below
-``_GN_LEVEL`` * L and the last ``_GN_WINDOW`` steps shrank it by a geometric
-mean of at least ``_GN_CONTRACTION`` each, and stays open while the point
-wins.  The point is taken only if it lowers the objective; a refused point
-closes the gate until the objective is below a tenth of its value there
+adjoint :func:`gram_product`, on one path for both feasible sets: the unit
+circle is the PAPR set whose entries all sit at the cap p_c = 1.  The gate
+opens once the objective is below ``_GN_LEVEL`` * L and the last
+``_GN_WINDOW`` steps shrank it by a geometric mean of at least
+``_GN_CONTRACTION`` each, and stays open while the point wins.  The point
+is taken only if it lowers the objective; a refused point closes the gate
+until the objective is below a tenth of its value there
 (``SolverState.gn_level``), and the step goes on with SQUAREM as if it had
 not been tried.
 
@@ -395,18 +397,15 @@ def _candidate(z_a: np.ndarray, config: SolverConfig, lam_j: float) -> Iterate:
     return _evaluate(_mm_update(_evaluate(z_a, wp), config, lam_j)[0], wp)
 
 
-_S1_FLOOR = 1e-15
-"""S1 only while the objective is above this times L^2 (see :func:`sdamm_step`)."""
 _S1_MIN_FALL = 1e-4
 """S1 only while the last step lowered the objective by more than this fraction.
 
-Both constants come from a sweep of 1e-9, 1e-12, 1e-15, 1e-18 and 1e-21 for
-the floor and 1e-2 to 1e-5 for the fraction, over the steps to the zone
-target of the ``zone-target-L4096-unimodular`` bench inputs, the 100
-``design-L64-papr`` inputs, seeded runs from (64, 18) to (4096, 256) in both
-modes and the zones near capacity.  A lower floor helps unimodular zones and
-hurts PAPR at L = 1024 and 4096, where S1 then runs too close to the target;
-without the fall test PAPR (64, 40) stays on S1 at an objective of 3.6e-2.
+From a sweep of 1e-2 to 1e-5 over the steps to the zone target of the
+``zone-target-L4096-unimodular`` bench inputs, the 100 ``design-L64-papr``
+inputs, seeded runs from (64, 18) to (4096, 256) in both modes and the zones
+near capacity; without the fall test PAPR (64, 40) stays on S1 at an
+objective of 3.6e-2.  Once the fall slows the Gauss-Newton gate takes over
+near the target, so the rule needs no floor on the objective.
 """
 
 _GN_LEVEL = 1e-4
@@ -533,10 +532,10 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     and v2 = (z2 - z1) - v1, each plain increment as :func:`_mm_update`
     returns it: exact to round-off relative to itself in unimodular mode, the
     difference of the iterates in PAPR mode.  The step length a is
-    Varadhan and Roland's S1 = <v1, v2> / ||v2||^2 while the objective is
-    above ``_S1_FLOOR`` * L^2 and the last step lowered it by more than
-    ``_S1_MIN_FALL`` of its value (a first step counts as one that did), and
-    their S3 = -||v1|| / ||v2|| otherwise, clipped to a <= -1 either way.
+    Varadhan and Roland's S1 = <v1, v2> / ||v2||^2 while the last step
+    lowered the objective by more than ``_S1_MIN_FALL`` of its value (a first
+    step counts as one that did), and their S3 = -||v1|| / ||v2|| otherwise,
+    clipped to a <= -1 either way.
     From the extrapolated point z_a = z - 2 a v1 + a^2 v2 the candidate
     is :func:`_candidate`'s: the projection Proj(z_a) onto the unit circle in
     unimodular mode (Song, Babu and Palomar, IEEE T-SP 2015), the plain step
@@ -595,8 +594,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
         rec_next, candidate = rec1, "z1"
         alpha_sl = -1.0
     else:
-        falling = len(hist) < 2 or hist[-2] - obj_t > _S1_MIN_FALL * hist[-2]
-        if falling and obj_t > _S1_FLOOR * config.L ** 2:
+        if len(hist) < 2 or hist[-2] - obj_t > _S1_MIN_FALL * hist[-2]:
             alpha_sl = float(np.vdot(v2, v1).real) / norm_v2 ** 2
         else:
             alpha_sl = -float(np.linalg.norm(v1)) / norm_v2

@@ -527,7 +527,7 @@ def test_solve_stops_at_zone_target():
 
 @pytest.mark.parametrize("L, Z, seed, steps", [
     pytest.param(64, 30, 0, 43, id="64-30-0"), pytest.param(64, 30, 1, 39, id="64-30-1"),
-    pytest.param(64, 30, 2, 52, id="64-30-2"), pytest.param(256, 100, 1, 70, id="256-100-1"),
+    pytest.param(64, 30, 2, 52, id="64-30-2"), pytest.param(256, 100, 1, 62, id="256-100-1"),
 ])
 def test_papr_trajectories_are_pinned(L, Z, seed, steps):
     # PAPR increments are the differences of the iterates; these counts
@@ -690,7 +690,7 @@ def test_sdamm_step_stops_backtracking_after_101_halvings(monkeypatch):
     assert any(state.z is z_k for z_k in (z, *stepped))
 
 
-@pytest.mark.parametrize("case", ["high and falling", "first step", "below the floor",
+@pytest.mark.parametrize("case", ["high and falling", "first step", "low and still falling",
                                   "after a slow step", "v1 and v2 not opposed"])
 def test_sdamm_step_length_rule(monkeypatch, case):
     import qozcp.solver as solver
@@ -703,12 +703,11 @@ def test_sdamm_step_length_rule(monkeypatch, case):
     v2 = np.zeros_like(state.z)
     v2[:2] = -0.125, 0.125
     s1, s3 = -4.0, -4.0 * math.sqrt(2.0)
-    high = 1.0
-    low = 0.5 * solver._S1_FLOOR * config.L ** 2
+    high, low = 1.0, 1e-20
     history, expected = {
         "high and falling": ([2.0 * high, high], s1),
         "first step": ([high], s1),
-        "below the floor": ([2.0 * low, low], s3),
+        "low and still falling": ([2.0 * low, low], s1),
         "after a slow step": ([high / (1.0 - 0.5 * solver._S1_MIN_FALL), high], s3),
         "v1 and v2 not opposed": ([2.0 * high, high], -1.0),
     }[case]
@@ -826,8 +825,9 @@ def test_easy_unimodular_zone_never_tries_gauss_newton(L, Z):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "1b291a9cd399b3c8"), (1, "646574ec74e7919e"), (2, "6f91045ed976ce38"),
-    (3, "d42ea277ff988613"), (4, "5efe2e4aa6e07d01"),
+    pytest.param(0, "3f531f41e143d243", id="0"), pytest.param(1, "2d443ba1706824f9", id="1"),
+    pytest.param(2, "bac6807b1e55d0cb", id="2"), pytest.param(3, "fb30e1705c81199d", id="3"),
+    pytest.param(4, "2388fdb117ca56c9", id="4"),
 ])
 def test_fast_papr_zone_keeps_its_squarem_bits(monkeypatch, seed, digest):
     # (64, 10) PAPR falls fast to the target, so the gate never opens and the
