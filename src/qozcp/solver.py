@@ -129,8 +129,10 @@ class SolverConfig:
         if self.mode not in ("papr", "unimodular"):
             raise ValueError(f"unknown mode {self.mode!r}")
         self.weights = WeightProfile.indicator(self.L, self.Z, self.alpha)
-        if self.max_iter < 0 or not 0.0 <= self.tol < np.inf:
-            raise ValueError("max_iter must be nonnegative and tol finite and nonnegative")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError("max_iter must be a nonnegative integer")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and nonnegative")
         if self.target is not None and not 0.0 <= self.target < np.inf:
             raise ValueError("target must be finite and nonnegative")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -288,9 +290,10 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         # NaN and the search passes them by.
         delta2 = (p_e - np.arange(L) * p_c ** 2) / tail
         passes = delta2 * a2 <= p_c ** 2
-        s = passes.argmax(axis=-1)
-        gain = np.sqrt(delta2[np.arange(s.size), s])[:, None] / peak
+        first = np.arange(len(rows)), passes.argmax(axis=-1)
+        gain = np.sqrt(delta2[first])[:, None] / peak
         out = rows * np.minimum(gain, cap)
+        passed = passes[first]
     if some_spread:
         # Those rows keep every nonzero entry at the cap, and the remaining
         # energy fills their zeros; an all-zero row is one of them.
@@ -300,7 +303,7 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         fill = np.sqrt(np.maximum(p_e - m * p_c ** 2, 0.0) / np.maximum(L - m, 1))
         out[spread] = np.multiply(rows[spread], cap[spread], where=mags[spread] > 0.0,
                                   out=np.broadcast_to(fill, (m.size, L)).astype(np.complex128))
-    for i in np.flatnonzero(~passes[np.arange(s.size), s]):
+    for i in () if passed.all() else np.flatnonzero(~passed):
         if np.count_nonzero(mags[i]) * p_c ** 2 <= p_e:
             continue                            # filled above
         # No s passes when the squares of a row's small entries underflow

@@ -233,6 +233,17 @@ def test_zone_metrics_siso_has_no_cross_surface():
     assert m.max_caf_omega2 == 0.0
 
 
+def test_zone_metrics_rejects_a_schedule_of_another_pair():
+    # the report's correlation maxima come from the pair, its surfaces from
+    # the schedule, so both must describe one pair
+    pair = golay_pair(64)
+    for other in (golay_pair(32), SequencePair(pair.y, pair.x)):
+        with pytest.raises(ValueError, match="another pair"):
+            zone_metrics(pair, 10, schedule=ptm_a_schedule(other, 8))
+    same = SequencePair(pair.x.copy(), pair.y.copy())
+    assert zone_metrics(pair, 10, schedule=ptm_a_schedule(same, 8)) == zone_metrics(pair, 10)
+
+
 def test_zone_metrics_as_dict_round_trip():
     pair = golay_pair(16)
     m = zone_metrics(pair, 8)

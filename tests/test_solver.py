@@ -486,6 +486,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(L=8, Z=4, seed=bad)
     assert SolverConfig(L=8, Z=4, seed=np.int64(3)).seed == 3
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(L=8, Z=4, max_iter=bad)
+    assert SolverConfig(L=8, Z=4, max_iter=np.int64(3)).max_iter == 3
     uni = SolverConfig(L=8, Z=4, mode="unimodular", p_r=3.0)
     assert uni.p_r == uni.p_c == 1.0
     assert SolverConfig(L=64, Z=30).target == pytest.approx(1.28e-9)
