@@ -199,9 +199,8 @@ def zone_metrics(pair: SequencePair, Z: int,
     The evaluation regions are the tabulated ones: delays |k| < Z inside the
     zone, for a Z that :func:`check_zone` accepts, Doppler spans [0, 0.1] for
     the auto surface and [0, 3] for the cross surface, with an 8-PRI two-row
-    schedule unless one is given; a given schedule must transmit ``pair``.
-    The pair correlations come from the same FFT path as the solver's
-    objective.
+    schedule unless one is given, which must transmit ``pair``.  The pair
+    correlations come from the same FFT path as the solver's objective.
     """
     check_zone(Z, pair.length)
     if schedule is None:

@@ -17,10 +17,9 @@ sets: their S1, <v1, v2> / ||v2||^2, while the objective still falls fast,
 and their S3, -||v1|| / ||v2||, after a slow step.  S1 is the shorter step
 (|S1| <= |S3|): it gets lower sooner from a random start, and S3 finishes
 faster near the target.  :func:`_candidate`, the only other place that
-dispatches on the feasible set, turns the extrapolated point into a
-feasible candidate: unit modulus projects it (the projected SQUAREM of Song,
-Babu and Palomar, IEEE T-SP 2015), PAPR mode takes one more plain step from
-it.
+dispatches on the feasible set, turns the extrapolated point into a feasible
+candidate: unit modulus projects it (the projected SQUAREM of Song, Babu and
+Palomar, IEEE T-SP 2015), PAPR mode takes one more plain step from it.
 
 In unimodular mode the plain step turns each phase by an angle of order
 |q| / s.  At L = 4096, Z = 256 that ratio falls from about 1e-4 at a random
@@ -38,15 +37,13 @@ zone's capacity.  Each step can therefore try a fifth candidate besides
 SQUAREM's, z1, z2 and the kept iterate: a Gauss-Newton point on the zone
 residuals (:func:`_gauss_newton`), the minimum-norm step that CGLS finds
 with the Jacobian products of :func:`linearized_correlations` and their
-adjoint :func:`gram_product`, on one path for both feasible sets: the unit
-circle is the PAPR set whose entries all sit at the cap p_c = 1.  The gate
+adjoint :func:`gram_product`, on one path for both feasible sets.  The gate
 opens once the objective is below ``_GN_LEVEL`` * L and the last
 ``_GN_WINDOW`` steps shrank it by a geometric mean of at least
-``_GN_CONTRACTION`` each, and stays open while the point wins.  The point
-is taken only if it lowers the objective; a refused point closes the gate
-until the objective is below a tenth of its value there
-(``SolverState.gn_level``), and the step goes on with SQUAREM as if it had
-not been tried.
+``_GN_CONTRACTION`` each, and stays open while the point wins.  The point is
+taken only if it lowers the objective; a refused point closes the gate until
+the objective is below a tenth of its value there (``SolverState.gn_level``),
+and the step goes on with SQUAREM as if it had not been tried.
 
 A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``target`` (both in-zone correlation maxima at or below the target),
@@ -468,9 +465,8 @@ def _tangent(z: np.ndarray, held: np.ndarray, L: int):
     sequence's energy and the modulus of each ``held`` entry.
 
     The normals of the two kinds of condition are orthogonal once the
-    energy normal of a row, the row itself, drops its held entries.  With
-    every entry held, as on the unit circle, no energy normal is left and
-    the projector keeps the tangential part i u Im(conj(u) dz) of each entry.
+    energy normal of a row, the row itself, drops its held entries.  On the
+    unit circle every entry is held, and the projector keeps i u Im(conj(u) dz).
     """
     radial = np.divide(z, np.abs(z), out=np.zeros_like(z), where=held)
     rest = np.where(held, 0.0, z).reshape(2, L)
@@ -493,14 +489,13 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     unknowns, so the minimum-norm step that CGLS finds from zero converges
     quadratically to the solution set (Nocedal and Wright, Numerical Optimization, ch. 10).
     The unknowns are the 4L reals, restricted to the steps that keep each
-    sequence's energy and the modulus of each entry at the cap to first
-    order (:func:`_tangent`): the minimum-norm step under those linear
-    conditions.  On the unit circle every entry is at the cap p_c = 1, so the
-    step turns each entry's phase, i u t for real t.  An entry that such a
-    step pushes over the cap is held too, and the step is solved once more,
-    since clipping it would undo the step to first order.  The held entries
-    are rescaled to their modulus and one :func:`proj_papr` call on the
-    (2, L) stack restores exact feasibility.
+    sequence's energy and the modulus of each entry at the cap to first order
+    (:func:`_tangent`); on the unit circle, where every entry is at the cap
+    p_c = 1, that leaves a turn of each phase.  An entry that the step pushes
+    over the cap is held too, and the step is solved once more, since clipping
+    it would undo the step to first order.  The held entries are rescaled to
+    their modulus and one :func:`proj_papr` call on the (2, L) stack restores
+    exact feasibility.
     """
     wp, L, z, f = config.weights, config.L, rec.z, rec.spectra
 
