@@ -38,12 +38,11 @@ SQUAREM's, z1, z2 and the kept iterate: a Gauss-Newton point on the zone
 residuals (:func:`_gauss_newton`), the minimum-norm step that CGLS finds
 with the Jacobian products of :func:`linearized_correlations` and their
 adjoint :func:`gram_product`, on one path for both feasible sets.  The gate
-opens once the objective is below ``_GN_LEVEL`` * L and the last
-``_GN_WINDOW`` steps shrank it by a geometric mean of at least
-``_GN_CONTRACTION`` each, and stays open while the point wins.  The point is
-taken only if it lowers the objective; a refused point closes the gate until
-the objective is below a tenth of its value there (``SolverState.gn_level``),
-and the step goes on with SQUAREM as if it had not been tried.
+reads the objective alone: a step tries the point while the objective is
+below ``_GN_LEVEL`` * L.  The point is taken only if it lowers the objective;
+a refused point closes the gate until the objective is below a tenth of its
+value there (``SolverState.gn_level``), and the step goes on with SQUAREM as
+if it had not been tried.
 
 A run stops for one of four reasons, kept in ``SolverState.stop_reason``:
 ``target`` (both in-zone correlation maxima at or below the target),
@@ -272,6 +271,9 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         raise ValueError("infeasible: p_c^2 * L < p_e")
     rows = v.reshape(-1, L)
     mags = np.abs(rows)
+    if L * p_c ** 2 <= p_e and mags.all():
+        # Every entry saturates, as on the unit circle: nothing to search.
+        return (rows * (p_c / mags)).reshape(v.shape)
     ascending = np.sort(mags)                   # a row's zeros sort first
     peak = ascending[:, -1:]
     # A row with m nonzero entries saturates them all if m p_c^2 <= p_e.
@@ -408,21 +410,15 @@ objective of 3.6e-2.  Once the fall slows the Gauss-Newton gate takes over
 near the target, so the rule needs no floor on the objective.
 """
 
-_GN_LEVEL = 1e-4
-"""Gauss-Newton only while the objective is below this times L (see :func:`sdamm_step`)."""
-_GN_WINDOW = 5
-_GN_CONTRACTION = 0.85
-"""Gauss-Newton only once the last ``_GN_WINDOW`` steps shrank the objective
-by at least this ratio each, as a geometric mean.
+_GN_LEVEL = 1e-2
+"""Gauss-Newton while the objective is below this times L (see :func:`sdamm_step`).
 
-Where the zone is easy SQUAREM still contracts fast after the objective is
-below ``_GN_LEVEL`` * L, and a Gauss-Newton point there costs more than the
-steps it saves.  Near capacity it stalls.  Measured without the candidate:
-the five-step mean below the level never exceeds 0.79 on the
-``zone-target-L4096-unimodular`` bench inputs (seeds 0-9, rounds 0-11) and
-0.59 on the 50 (64, 10) inputs of ``design-L64-papr`` (seeds 0-9, rounds
-0-4).  On the 50 (64, 30) inputs it first reaches 0.85 after 31-88 steps in
-49 runs and peaks at 0.84-0.99.
+Swept over the 100 ``design-L64-papr`` inputs (every run at the target, no
+point refused), 1e-4, 3e-3, 1e-2 and 3e-2 took 2585, 1872, 1687 and 1533
+steps, and 29.8, 25.9, 25.6 and 25.8 ms summed median solve time per
+configuration (5 interleaved repeats, 2 shared vCPUs).  From 3e-3 up the
+saved SQUAREM steps go to more, dearer Gauss-Newton points; 1e-2 was the
+fastest in three of four sweeps.
 """
 _CGLS_TOL = 1e-2
 _CGLS_MAX_ITER = 50
@@ -430,9 +426,10 @@ _CGLS_MAX_ITER = 50
 
 Near capacity most solves stop at the cap: the Jacobian is then nearly
 square and ill-conditioned.  The cap bounds what a refused point costs, and
-with both values PAPR (64, 36), (64, 40) and (256, 150) and unimodular
-(64, 21), (128, 40), (128, 42) and (256, 80), seeds 0 and 1, reach the zone
-target in under 2 s each.
+with both values and ``_GN_LEVEL`` PAPR (64, 36), (64, 40) and (256, 150)
+and unimodular (64, 21), (128, 40), (128, 42) and (256, 80), seeds 0 and 1,
+reach the zone target in under 2 s each.  On the 100 ``design-L64-papr``
+inputs a point takes 17 iterations on average.
 """
 
 
@@ -540,7 +537,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     M(z_a) in PAPR mode (Varadhan and Roland, Scand. J. Stat. 2008).  a is
     halved towards -1 while the candidate raises the objective; if it still
     does at a = -1, where z_a is z2, the step takes the better of z1 and z2.
-    Before all this, once the objective is low and SQUAREM contracts slowly
+    Before all this, while the objective is below the Gauss-Newton level
     (module docstring), the step tries the Gauss-Newton point of
     :func:`_gauss_newton` and takes it, with no SQUAREM work, if it lowers
     the objective.  Appends the new objective to ``state.objective_history``
@@ -563,10 +560,8 @@ def sdamm_step(state: SolverState, config: SolverConfig,
     if not np.isfinite(obj_t):
         raise FloatingPointError("non-finite objective at current iterate")
 
-    hist, gn_level, gn_iterations = state.objective_history, state.gn_level, 0
-    if state.last_step.get("candidate") == "gn" or (
-            obj_t < min(gn_level, _GN_LEVEL * config.L) and len(hist) > _GN_WINDOW
-            and obj_t >= _GN_CONTRACTION ** _GN_WINDOW * hist[-1 - _GN_WINDOW]):
+    gn_level, gn_iterations = state.gn_level, 0
+    if obj_t < min(gn_level, _GN_LEVEL * config.L):
         z_gn, gn_iterations = _gauss_newton(rec_t, config)
         if gn_iterations:
             rec_gn = _evaluate(z_gn, wp)
@@ -592,6 +587,7 @@ def sdamm_step(state: SolverState, config: SolverConfig,
         rec_next, candidate = rec1, "z1"
         alpha_sl = -1.0
     else:
+        hist = state.objective_history
         if len(hist) < 2 or hist[-2] - obj_t > _S1_MIN_FALL * hist[-2]:
             alpha_sl = float(np.vdot(v2, v1).real) / norm_v2 ** 2
         else:

@@ -41,7 +41,7 @@ def test_design_writes_archive(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
     assert "max_complementary_sidelobe_in_zone" in stdout
-    assert "stop: target after 26 iterations" in stdout
+    assert "stop: target after 14 iterations" in stdout
 
 
 def test_design_target_flag(tmp_path, capsys):
@@ -87,12 +87,12 @@ def test_design_restarts_keep_best(tmp_path):
 
 def test_design_restarts_record_winning_seed(tmp_path):
     out = tmp_path / "r.json"
-    assert main(["design", "--length", "16", "--zone", "8", "--seed", "1",
+    assert main(["design", "--length", "16", "--zone", "8", "--seed", "2",
                  "--restarts", "3", "--max-iter", "40", "--out", str(out)]) == 0
     finals = {seed: solve(SolverConfig(L=16, Z=8, seed=seed, max_iter=40))[1]
-              .objective_history[-1] for seed in (1, 2, 3)}
+              .objective_history[-1] for seed in (2, 3, 4)}
     winner = min(finals, key=finals.get)
-    assert winner != 1      # a later restart wins, so the base seed would be wrong
+    assert winner != 2      # a later restart wins, so the base seed would be wrong
     assert json.loads(out.read_text())["config"]["seed"] == winner
 
 

@@ -530,8 +530,8 @@ def test_solve_stops_at_zone_target():
 
 
 @pytest.mark.parametrize("L, Z, seed, steps", [
-    pytest.param(64, 30, 0, 43, id="64-30-0"), pytest.param(64, 30, 1, 39, id="64-30-1"),
-    pytest.param(64, 30, 2, 52, id="64-30-2"), pytest.param(256, 100, 1, 62, id="256-100-1"),
+    pytest.param(64, 30, 0, 24, id="64-30-0"), pytest.param(64, 30, 1, 22, id="64-30-1"),
+    pytest.param(64, 30, 2, 26, id="64-30-2"), pytest.param(256, 100, 1, 22, id="256-100-1"),
 ])
 def test_papr_trajectories_are_pinned(L, Z, seed, steps):
     # PAPR increments are the differences of the iterates; these counts
@@ -546,7 +546,7 @@ def test_near_capacity_unimodular_zone_reaches_target():
     # counting conditions and unknowns, (2L + 1) / 6 = 21.5; a step length
     # that loses such zones fails here, in well under a second.
     _, state = solve(SolverConfig(L=64, Z=18, mode="unimodular", seed=0))
-    assert (state.stop_reason, state.iteration) == ("target", 66)
+    assert (state.stop_reason, state.iteration) == ("target", 32)
 
 
 def test_unimodular_solve_reaches_target(monkeypatch):
@@ -564,7 +564,7 @@ def test_unimodular_solve_reaches_target(monkeypatch):
 
     monkeypatch.setattr(solver, "sdamm_step", checked)
     pair, state = solve(config)
-    assert (state.stop_reason, state.iteration) == ("target", 39)
+    assert (state.stop_reason, state.iteration) == ("target", 27)
     assert len(worst) == state.iteration and max(worst) <= 1e-12
     assert np.all(np.diff(state.objective_history) <= 0)
     lags = np.abs(np.arange(1 - L, L))
@@ -727,7 +727,8 @@ def test_sdamm_step_length_rule(monkeypatch, case):
         return rec._replace(z=z_a, objective=0.5 * history[-1])
 
     rec = state.record._replace(objective=history[-1])
-    state = SolverState(z=rec.z, objective_history=list(history), record=rec)
+    # a shut Gauss-Newton gate, so that the low objectives isolate the rule
+    state = SolverState(z=rec.z, objective_history=list(history), record=rec, gn_level=0.0)
     monkeypatch.setattr(solver, "_mm_update", plain)
     monkeypatch.setattr(solver, "_candidate", lower)
     state = sdamm_step(state, config)
@@ -747,7 +748,8 @@ def test_sdamm_step_cached_record_matches_bare_state(mode):
     lam = lambda_j(config.weights, config.L)
     for _ in range(40):
         bare = SolverState(z=state.z, iteration=state.iteration,
-                           objective_history=list(state.objective_history))
+                           objective_history=list(state.objective_history),
+                           gn_level=state.gn_level)
         from_bare = sdamm_step(bare, config, lam_j=lam)
         state = sdamm_step(state, config, lam_j=lam)
         assert np.array_equal(state.z, from_bare.z)
@@ -806,11 +808,11 @@ def test_sdamm_step_evaluation_budget(monkeypatch, mode):
         assert all(gauss_newton.values()), gauss_newton
 
 
-@pytest.mark.parametrize("L, Z", [(2048, 256), (4096, 256)])
-def test_easy_unimodular_zone_never_tries_gauss_newton(L, Z):
+@pytest.mark.parametrize("L, Z, steps", [(2048, 256, 15), (4096, 256, 11)])
+def test_easy_unimodular_zone_reaches_target_in_pinned_steps(L, Z, steps):
     # The zone workload's start: a random unit-modulus pair and bare steps
-    # until both in-zone maxima are at most 1e-6.  SQUAREM contracts fast
-    # here, so the gate stays shut.
+    # until both in-zone maxima are at most 1e-6.  SQUAREM takes the
+    # objective below the Gauss-Newton level and Gauss-Newton points finish.
     rng = np.random.default_rng([0, 0, 1])
     config = SolverConfig(L=L, Z=Z, mode="unimodular")
     lam = lambda_j(config.weights, L)
@@ -819,23 +821,24 @@ def test_easy_unimodular_zone_never_tries_gauss_newton(L, Z):
     lags = np.abs(np.arange(1 - L, L))
     for _ in range(200):
         state = sdamm_step(state, config, lam_j=lam)
-        assert state.last_step["gn_iterations"] == 0
         r, c = correlations_via_fft(state.pair)
         if max(np.abs(r[(lags < Z) & (lags > 0)]).max(), np.abs(c[lags < Z]).max()) <= 1e-6:
             break
     else:
         pytest.fail("zone target not reached")
-    assert state.objective_history[-1] < 1e-4 * L
+    assert (state.iteration, state.last_step["candidate"]) == (steps, "gn")
+    assert np.all(np.diff(state.objective_history) <= 0)
 
 
 @pytest.mark.parametrize("seed, digest", [
-    pytest.param(0, "3f531f41e143d243", id="0"), pytest.param(1, "2d443ba1706824f9", id="1"),
-    pytest.param(2, "bac6807b1e55d0cb", id="2"), pytest.param(3, "fb30e1705c81199d", id="3"),
-    pytest.param(4, "2388fdb117ca56c9", id="4"),
+    pytest.param(0, "a12453e940f76362", id="0"), pytest.param(1, "5255807112838b79", id="1"),
+    pytest.param(2, "475bd682ad2f40af", id="2"), pytest.param(3, "018b0d2e4e631304", id="3"),
+    pytest.param(4, "f1f757f70a4adb86", id="4"),
 ])
 def test_fast_papr_zone_keeps_its_squarem_bits(monkeypatch, seed, digest):
-    # (64, 10) PAPR falls fast to the target, so the gate never opens and the
-    # objective history is the SQUAREM one, bit for bit (sha256 of its bytes).
+    # (64, 10) PAPR falls fast: SQUAREM steps down to the Gauss-Newton level,
+    # then Gauss-Newton points, none refused, to the target.  The objective
+    # history is pinned bit for bit (sha256 of its bytes).
     import qozcp.solver as solver
 
     step = solver.sdamm_step
@@ -848,7 +851,9 @@ def test_fast_papr_zone_keeps_its_squarem_bits(monkeypatch, seed, digest):
 
     monkeypatch.setattr(solver, "sdamm_step", recording)
     _, state = solve(SolverConfig(L=64, Z=10, p_r=5.0, seed=seed))
-    assert state.stop_reason == "target" and not any(tried)
+    assert state.stop_reason == "target" and state.last_step["candidate"] == "gn"
+    first = next(i for i, k in enumerate(tried) if k)
+    assert first > 0 and all(tried[first:])
     history = np.array(state.objective_history, dtype="<f8").tobytes()
     assert hashlib.sha256(history).hexdigest()[:16] == digest
 
@@ -884,6 +889,21 @@ def test_sdamm_step_refuses_a_rising_gauss_newton_point(monkeypatch):
     # each try after a refusal waits for a tenth of the refused objective
     assert len(tries) >= 2
     assert all(later < 0.1 * earlier for earlier, later in zip(tries, tries[1:]))
+
+
+def test_gauss_newton_gate_reads_the_objective_alone():
+    import qozcp.solver as solver
+
+    # unimodular (64, 18) s0 after 25 and 26 steps, objectives 0.85 and 0.40
+    # on either side of the level 0.64; a bare state has no history and no record
+    config = SolverConfig(L=64, Z=18, mode="unimodular", seed=0)
+    level = solver._GN_LEVEL * config.L
+    for steps, below in ((25, False), (26, True)):
+        state = solve(SolverConfig(L=64, Z=18, mode="unimodular", seed=0, max_iter=steps))[1]
+        assert (state.objective_history[-1] < level) is below
+        state = sdamm_step(SolverState(z=state.z), config)
+        assert (state.last_step["gn_iterations"] > 0) is below
+        assert (state.last_step["candidate"] == "gn") is below
 
 
 def _real_inner(a, b):
@@ -928,10 +948,13 @@ def test_tangent_with_held_and_free_entries_keeps_each_row_energy():
 
 def test_gauss_newton_point_stays_on_the_unit_circle():
     # A pinned near-solution state: 60 SQUAREM steps of unimodular (64, 18)
-    # s0, objective 6.5e-3, before the gate first opens.
-    config = SolverConfig(L=64, Z=18, mode="unimodular", seed=0, max_iter=60)
-    _, state = solve(config)
-    assert state.stop_reason == "max_iter"
+    # s0 with the gate shut, objective 6.5e-3.
+    config = SolverConfig(L=64, Z=18, mode="unimodular", seed=0, max_iter=0)
+    state = solve(config)[1]
+    state.gn_level = 0.0
+    for _ in range(60):
+        state = sdamm_step(state, config)
+    assert state.iteration == 60 and state.last_step["candidate"] == "squarem"
     z_gn, iterations = _gauss_newton(state.record, config)
     assert iterations > 0
     assert np.abs(np.abs(z_gn) - 1.0).max() <= 1e-12
@@ -940,7 +963,7 @@ def test_gauss_newton_point_stays_on_the_unit_circle():
 
 @pytest.mark.parametrize("mode, L, Z, seed, steps", [
     pytest.param("unimodular", 64, 21, 1, 478, id="unimodular-64-21-1"),
-    pytest.param("papr", 64, 40, 0, 902, id="papr-64-40-0"),
+    pytest.param("papr", 64, 40, 0, 903, id="papr-64-40-0"),
     pytest.param("papr", 256, 150, 1, 779, id="papr-256-150-1"),
 ])
 def test_hard_zone_reaches_target(mode, L, Z, seed, steps):
