@@ -507,8 +507,9 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     iterations = 0
     for _ in range(2):
         tangent = _tangent(z, held, L)
-        dz, k = _cgls(lambda d: lags(tangent(d)), lambda rho: tangent(lags_adjoint(rho)),
-                      (rec.r, rec.c), wp)
+        # CGLS builds its directions from the adjoint's outputs, which lie in
+        # the projector's range, so the forward product is lags itself.
+        dz, k = _cgls(lags, lambda rho: tangent(lags_adjoint(rho)), (rec.r, rec.c), wp)
         iterations += k
         z_gn = z + dz
         over = (np.abs(z_gn) > config.p_c) & ~held

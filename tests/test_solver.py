@@ -831,9 +831,9 @@ def test_easy_unimodular_zone_reaches_target_in_pinned_steps(L, Z, steps):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    pytest.param(0, "a12453e940f76362", id="0"), pytest.param(1, "5255807112838b79", id="1"),
-    pytest.param(2, "475bd682ad2f40af", id="2"), pytest.param(3, "018b0d2e4e631304", id="3"),
-    pytest.param(4, "f1f757f70a4adb86", id="4"),
+    pytest.param(0, "c9151c685d9aeb61", id="0"), pytest.param(1, "5255807112838b79", id="1"),
+    pytest.param(2, "dcbebfc7dbf11e9c", id="2"), pytest.param(3, "1ee1ab7bcb0879e0", id="3"),
+    pytest.param(4, "1b72e209850eacf3", id="4"),
 ])
 def test_fast_papr_zone_keeps_its_squarem_bits(monkeypatch, seed, digest):
     # (64, 10) PAPR falls fast: SQUAREM steps down to the Gauss-Newton level,
@@ -962,7 +962,7 @@ def test_gauss_newton_point_stays_on_the_unit_circle():
 
 
 @pytest.mark.parametrize("mode, L, Z, seed, steps", [
-    pytest.param("unimodular", 64, 21, 1, 478, id="unimodular-64-21-1"),
+    pytest.param("unimodular", 64, 21, 1, 479, id="unimodular-64-21-1"),
     pytest.param("papr", 64, 40, 0, 903, id="papr-64-40-0"),
     pytest.param("papr", 256, 150, 1, 779, id="papr-256-150-1"),
 ])
