@@ -276,8 +276,9 @@ def proj_papr(v: np.ndarray, p_e: float, p_c: float) -> np.ndarray:
         return (rows * (p_c / mags)).reshape(v.shape)
     ascending = np.sort(mags)                   # a row's zeros sort first
     peak = ascending[:, -1:]
-    # A row with m nonzero entries saturates them all if m p_c^2 <= p_e.
-    some_spread = L * p_c ** 2 <= p_e or not ascending[:, 0].all()
+    # A row with m nonzero entries saturates them all if m p_c^2 <= p_e,
+    # which with m = L returned above, so only a row with zeros can.
+    some_spread = not ascending[:, 0].all()
     with np.errstate(divide="ignore", invalid="ignore"):
         # Entry l saturates once its gain reaches p_c / |v_l|, never if v_l = 0.
         cap = p_c / mags
@@ -406,8 +407,8 @@ From a sweep of 1e-2 to 1e-5 over the steps to the zone target of the
 ``zone-target-L4096-unimodular`` bench inputs, the 100 ``design-L64-papr``
 inputs, seeded runs from (64, 18) to (4096, 256) in both modes and the zones
 near capacity; without the fall test PAPR (64, 40) stays on S1 at an
-objective of 3.6e-2.  Once the fall slows the Gauss-Newton gate takes over
-near the target, so the rule needs no floor on the objective.
+objective of 3.6e-2.  Near the target the Gauss-Newton candidate takes
+over, so the rule needs no floor on the objective.
 """
 
 _GN_LEVEL = 1e-2
