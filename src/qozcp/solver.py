@@ -508,8 +508,7 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     iterations = 0
     for _ in range(2):
         tangent = _tangent(z, held, L)
-        # CGLS builds its directions from the adjoint's outputs, which lie in
-        # the projector's range, so the forward product is lags itself.
+        # CGLS directions come from the projected adjoint, so lags needs no projection.
         dz, k = _cgls(lags, lambda rho: tangent(lags_adjoint(rho)), (rec.r, rec.c), wp)
         iterations += k
         z_gn = z + dz
