@@ -808,7 +808,9 @@ def test_sdamm_step_evaluation_budget(monkeypatch, mode):
         assert all(gauss_newton.values()), gauss_newton
 
 
-@pytest.mark.parametrize("L, Z, steps", [(2048, 256, 15), (4096, 256, 11)])
+@pytest.mark.parametrize("L, Z, steps", [
+    pytest.param(2048, 256, 15, id="2048-256"), pytest.param(4096, 256, 11, id="4096-256"),
+])
 def test_easy_unimodular_zone_reaches_target_in_pinned_steps(L, Z, steps):
     # The zone workload's start: a random unit-modulus pair and bare steps
     # until both in-zone maxima are at most 1e-6.  SQUAREM takes the
