@@ -761,7 +761,7 @@ def test_sdamm_step_cached_record_matches_bare_state(mode):
 def test_sdamm_step_evaluation_budget(monkeypatch, mode):
     import qozcp.solver as solver
 
-    # seed 0 backtracks in both modes within the 60 steps (2 and 10 times)
+    # seed 0 backtracks in both modes within the 60 steps (37 and 10 times)
     config, state = _start(mode, seed=0)
     lam = lambda_j(config.weights, config.L)
     calls = []
@@ -802,7 +802,7 @@ def test_sdamm_step_evaluation_budget(monkeypatch, mode):
             assert evaluations <= 3 + 2 * backtracks
             assert calls.count("_mm_update") <= 3 + backtracks
     # the budget was also checked on steps that backtracked, and in PAPR mode
-    # on steps that took and that refused a Gauss-Newton point (6 and 1)
+    # on steps that took and that refused a Gauss-Newton point (8 and 1)
     assert total_backtracks > 0
     if mode == "papr":
         assert all(gauss_newton.values()), gauss_newton
@@ -971,7 +971,7 @@ def test_gauss_newton_point_stays_on_the_unit_circle():
 def test_hard_zone_reaches_target(mode, L, Z, seed, steps):
     # Zones near capacity, where SQUAREM contracts slowly: 12674 steps and
     # max_iter twice without the Gauss-Newton candidate, well under 2 s with
-    # it.  (256, 150) takes 2512 steps if an entry pushed over the cap is
+    # it.  (256, 150) takes 1003 steps if an entry pushed over the cap is
     # clipped instead of held.
     pair, state = solve(SolverConfig(L=L, Z=Z, mode=mode, seed=seed, max_iter=20000))
     assert (state.stop_reason, state.iteration) == ("target", steps)
