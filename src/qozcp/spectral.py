@@ -15,6 +15,12 @@ the two sequences of a pair as the rows of one array: the padded spectra of
 :func:`gram_product` are a (2, n) array ``mu``.  Each stage is then one
 numpy call for both rows.
 
+The stages of the solver's Gauss-Newton solve write into buffers that it
+allocates once per call, when given them: ``out`` of :func:`forward_spectrum`,
+:func:`linearized_correlations`, :func:`weighted_spectra` and
+:func:`gram_product`, and ``work`` for the kernel rows of the last.  The
+bits are those of the allocating calls.
+
 Lag vectors hold the lags |k| < K in increasing order: K = L on the public
 paths and the profile's reach in the solver.  FFT index order puts lag k at
 index k mod n; at n = 2L it is [v_0, ..., v_{L-1}, 0, v_{1-L}, ..., v_{-1}].
@@ -36,18 +42,25 @@ __all__ = [
 ]
 
 
-def forward_spectrum(x, n: int | None = None) -> np.ndarray:
+def forward_spectrum(x, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """n-point DFT of the zero-padded rows [x, 0] along the last axis.
 
     ``n`` defaults to 2L.  A 1-D ``x`` is validated as a sequence; stacked
-    rows of shape (..., L) are checked for finite entries.
+    rows of shape (..., L) are checked for finite entries.  Given ``out``,
+    of shape (..., n), the rows are padded and transformed in it, with the
+    bits of the allocating call.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim <= 1:
         x = as_sequence(x)
     elif not np.isfinite(x).all():
         raise ValueError("sequence entries must be finite")
-    return np.fft.fft(x, n=2 * x.shape[-1] if n is None else n)
+    if out is None:
+        return np.fft.fft(x, n=2 * x.shape[-1] if n is None else n)
+    L = x.shape[-1]
+    out[..., :L] = x
+    out[..., L:] = 0.0
+    return np.fft.fft(out, out=out)
 
 
 def fft_to_lag_order(v: np.ndarray, K: int | None = None) -> np.ndarray:
@@ -116,35 +129,50 @@ def correlations_from_spectra(f: np.ndarray, K: int) -> tuple[np.ndarray, np.nda
     return tuple(_lag_correlation(product, K))
 
 
-def linearized_correlations(f: np.ndarray, df: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+def linearized_correlations(f: np.ndarray, df: np.ndarray, K: int,
+                            out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian product J dz: the lags |k| < K of the first-order changes (dr, dc).
 
     ``f`` and ``df`` are the (2, n) padded transforms of the rows of z and of
     a direction dz.  The spectral products of :func:`correlations_from_spectra`
     change to first order by 2 Re(conj(f) df) summed over the rows and by
     conj(df_x) f_y + conj(f_x) df_y; one inverse transform of the two gives
-    both lag vectors.  The adjoint is :func:`gram_product`.
+    both lag vectors.  The adjoint is :func:`gram_product`.  ``out``, a
+    (2, n) array, holds the two products and their transform when given.
     """
-    product = np.empty_like(f)
-    product[0] = 2.0 * (np.conjugate(f) * df).real.sum(axis=0)
-    np.multiply(np.conjugate(df[0]), f[1], out=product[1])
-    product[1] += np.conjugate(f[0]) * df[1]
+    product = np.empty_like(f) if out is None else out
+    auto, cross = product
+    # The auto row holds each conjugate until auto itself is written, so at
+    # most one temporary row is alive: at the solver's sizes a (2, n) one
+    # is at the allocator's mmap threshold.
+    np.multiply(np.conjugate(df[0], out=auto), f[1], out=cross)
+    cross += np.multiply(np.conjugate(f[0], out=auto), df[1], out=auto)
+    np.multiply(np.conjugate(f[0], out=auto), df[0], out=auto)
+    tail = np.conjugate(f[1])
+    # 2 Re(conj(f) df) summed over the two rows: one addition, as along axis 0.
+    re = auto.real
+    np.add(re, np.multiply(tail, df[1], out=tail).real, out=re)
+    re *= 2.0
+    auto.imag = 0.0
     return tuple(_lag_correlation(product, K))
 
 
-def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndarray:
+def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """DFTs ``mu`` (2, n) of t_r = w .* r and t_c = wt .* c in FFT order.
 
     ``r`` and ``c`` hold the lags |k| < ``wp.reach``, as
     :func:`correlations_from_spectra` returns them for K = ``wp.reach``;
     ``mu[0]`` is the spectrum of t_r and ``mu[1]`` that of t_c.  The
-    transform length is the profile's ``n_fft``.
+    transform length is the profile's ``n_fft``.  ``mu`` is written into
+    ``out`` when given.
     """
     full_w, full_wt = wp.symmetric()
     K, n = wp.reach, wp.n_fft
     # Lag k goes to index k mod n: lags 0 .. K-1 lead, 1-K .. -1 close the row.
     ahead, behind = slice(wp.L - 1, wp.L - 1 + K), slice(wp.L - K, wp.L - 1)
-    mu = np.zeros((2, n), dtype=np.complex128)
+    mu = np.empty((2, n), dtype=np.complex128) if out is None else out
+    mu[:, K:n - K + 1] = 0.0
     np.multiply(full_w[ahead], r[K - 1:], out=mu[0, :K])
     np.multiply(full_w[behind], r[:K - 1], out=mu[0, n - K + 1:])
     np.multiply(full_wt[ahead], c[K - 1:], out=mu[1, :K])
@@ -152,7 +180,8 @@ def weighted_spectra(r: np.ndarray, c: np.ndarray, wp: WeightProfile) -> np.ndar
     return np.fft.fft(mu, out=mu)
 
 
-def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray:
+def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile,
+                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Apply (Q + Q^H) to the stacked length-2L iterate z in O(L log L).
 
     ``mu`` is the (2, n) output of :func:`weighted_spectra` for z and the
@@ -169,6 +198,9 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     Re <gram_product(weighted_spectra(a, b, wp), f, wp), dz> equals
     alpha Re sum_k w_|k| conj(a_k) dr_k + (1 - alpha) Re sum_k wt_|k| conj(b_k) dc_k
     for (dr, dc) = J dz: the weighted inner product of the objective.
+
+    The product is written into ``out``, a length-2L vector, and the kernel
+    rows below into ``work``, a (4, n) array, when given.
     """
     # Rows 0-1 hold the kernels (mu_r_rev, nu_c) = rev(mu), scaled by the
     # mix; rows 2-3 the cross products f_y nu_c and f_x conj(nu_c).  Each
@@ -176,7 +208,7 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     # 2 alpha f rev(mu_r) + (1 - alpha) [f_y nu_c, f_x conj(nu_c)].
     # Diagonal blocks of Q and Q^H coincide, hence the factor 2 on the
     # autocorrelation kernel.
-    rows = np.empty((4, f.shape[-1]), dtype=np.complex128)
+    rows = np.empty((4, f.shape[-1]), dtype=np.complex128) if work is None else work
     kernels, cross = rows[:2], rows[2:]
     _rev(mu, out=kernels)
     kernels[0] *= 2.0 * wp.alpha
@@ -186,5 +218,8 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile) -> np.ndarray
     np.multiply(f[0], cross[1], out=cross[1])
     np.multiply(f[1], kernels[0], out=kernels[1])
     np.multiply(f[0], kernels[0], out=kernels[0])
-    corr = np.fft.ifft(np.add(kernels, cross, out=kernels), out=kernels)
-    return corr[:, :wp.L].flatten()
+    corr = np.fft.ifft(np.add(kernels, cross, out=kernels), out=kernels)[:, :wp.L]
+    if out is None:
+        return corr.flatten()
+    np.copyto(out.reshape(2, wp.L), corr)
+    return out

@@ -270,6 +270,32 @@ def test_results_survive_later_calls_at_the_same_length():
 
 
 
+@pytest.mark.parametrize("L, Z", [(16, 5), (64, 20), (257, 40)])
+def test_output_buffers_keep_the_allocating_bits(L, Z):
+    # Buffers full of NaN, as a reused buffer holds stale values: every
+    # entry of the result must be written, and the bits match a fresh result.
+    rng = np.random.default_rng(L)
+    wp = WeightProfile.indicator(L, Z)
+    K, n = wp.reach, wp.n_fft
+    z, dz = (np.concatenate(random_pair(rng, L)).reshape(2, L) for _ in range(2))
+    f = forward_spectrum(z, n)
+    dirty = lambda *shape: np.full(shape, np.nan, dtype=np.complex128)
+
+    out = dirty(2, n)
+    df = forward_spectrum(dz, n, out=out)
+    assert df is out and np.array_equal(df, forward_spectrum(dz, n))
+    out = dirty(2, n)
+    lags = linearized_correlations(f, df, K, out=out)
+    assert np.array_equal(lags, linearized_correlations(f, df, K))
+    a, b = (rng.normal(size=2 * K - 1) + 1j * rng.normal(size=2 * K - 1) for _ in range(2))
+    out = dirty(2, n)
+    mu = weighted_spectra(a, b, wp, out=out)
+    assert mu is out and np.array_equal(mu, weighted_spectra(a, b, wp))
+    out, work = dirty(2 * L), dirty(4, n)
+    q = gram_product(mu, f, wp, out=out, work=work)
+    assert q is out and np.array_equal(q, gram_product(mu, f, wp))
+
+
 def _random_profile(rng, L, Z):
     """A non-indicator profile: random weights on the lags below Z, some of them zero."""
     w = rng.uniform(0.0, 2.0, L) * (np.arange(L) < Z) * (rng.random(L) < 0.8)
