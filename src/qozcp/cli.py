@@ -360,8 +360,10 @@ def main(argv=None) -> int:
         parser.error("compare needs exactly two --pair inputs")
     try:
         code = args.func(args)
-        # A closed stdout raises here whether or not it is buffered.
-        sys.stdout.flush()
+        # A closed reader raises here whether or not stdout is buffered.  A
+        # stdout closed at startup is None, and print() skips it.
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -369,8 +371,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Only reports are printed, after every output file is in place.  The
         # null device takes what is left, so the flush at exit stays quiet.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 0
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
         return 0
     except Exception as exc:

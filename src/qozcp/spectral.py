@@ -16,10 +16,10 @@ the two sequences of a pair as the rows of one array: the padded spectra of
 numpy call for both rows.
 
 The stages of the solver's Gauss-Newton solve write into buffers that it
-allocates once per call, when given them: ``out`` of :func:`forward_spectrum`,
+allocates once per call: ``out`` of :func:`forward_spectrum`,
 :func:`linearized_correlations`, :func:`weighted_spectra` and
-:func:`gram_product`, and ``work`` for the kernel rows of the last.  The
-bits are those of the allocating calls.
+:func:`gram_product`, and ``work`` for the kernel rows of the last.  Each
+stage allocates them itself when not given them, on the same code path.
 
 Lag vectors hold the lags |k| < K in increasing order: K = L on the public
 paths and the profile's reach in the solver.  FFT index order puts lag k at
@@ -45,19 +45,20 @@ __all__ = [
 def forward_spectrum(x, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """n-point DFT of the zero-padded rows [x, 0] along the last axis.
 
-    ``n`` defaults to 2L.  A 1-D ``x`` is validated as a sequence; stacked
-    rows of shape (..., L) are checked for finite entries.  Given ``out``,
-    of shape (..., n), the rows are padded and transformed in it, with the
-    bits of the allocating call.
+    ``n`` defaults to 2L and must be at least L.  A 1-D ``x`` is validated
+    as a sequence; stacked rows of shape (..., L) are checked for finite
+    entries.  The rows are padded and transformed in place in ``out``, of
+    shape (..., n), which is allocated when not given; the bits are those
+    of ``np.fft.fft(x, n=n)``.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim <= 1:
         x = as_sequence(x)
     elif not np.isfinite(x).all():
         raise ValueError("sequence entries must be finite")
-    if out is None:
-        return np.fft.fft(x, n=2 * x.shape[-1] if n is None else n)
     L = x.shape[-1]
+    if out is None:
+        out = np.empty(x.shape[:-1] + (2 * L if n is None else n,), dtype=np.complex128)
     out[..., :L] = x
     out[..., L:] = 0.0
     return np.fft.fft(out, out=out)
@@ -219,7 +220,6 @@ def gram_product(mu: np.ndarray, f: np.ndarray, wp: WeightProfile,
     np.multiply(f[1], kernels[0], out=kernels[1])
     np.multiply(f[0], kernels[0], out=kernels[0])
     corr = np.fft.ifft(np.add(kernels, cross, out=kernels), out=kernels)[:, :wp.L]
-    if out is None:
-        return corr.flatten()
+    out = np.empty(2 * wp.L, dtype=np.complex128) if out is None else out
     np.copyto(out.reshape(2, wp.L), corr)
     return out

@@ -412,27 +412,33 @@ def test_rejection_prints_only_the_error_line(tmp_path, argv, blamed):
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stdout", ["unbuffered", "buffered", "closed"])
 @pytest.mark.parametrize("argv", [
     ["compare", "--pair", "golay:16", "--pair", "golay:16", "--zone", "8"],
     ["design", "--length", "16", "--zone", "8", "--out", "{d}/s.json"],
 ], ids=["compare", "design"])
-def test_closed_stdout_is_success(tmp_path, argv, buffered):
+def test_closed_stdout_is_success(tmp_path, argv, stdout):
     # The reader of stdout is gone before the first print, as in `| true`;
     # a buffered stdout would otherwise fail only at the flush on exit.
+    # "closed" starts with no stdout at all, as in `>&-`, where Python's
+    # sys.stdout is None.
     import subprocess
     import sys
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
+    if stdout == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        res = subprocess.run([sys.executable, "-m", "qozcp", *[a.format(d=tmp_path) for a in argv]],
-                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
-    finally:
-        os.close(write_end)
+    cmd = [sys.executable, "-m", "qozcp", *[a.format(d=tmp_path) for a in argv]]
+    if stdout == "closed":
+        res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd],
+                             stderr=subprocess.PIPE, text=True, env=env)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
     assert (res.returncode, res.stderr) == (0, "")
     if argv[0] == "design":
         pair, doc = read_archive(str(tmp_path / "s.json"))
